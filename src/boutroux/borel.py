@@ -163,6 +163,125 @@ def _evaluator(germ):
 # ---------------------------------------------------------------------------
 # Laplace rays
 
+CC_ORDERS = (4, 8, 16, 32, 64, 128, 256)
+
+
+@lru_cache(maxsize=None)
+def _cc_rule(n, prec):
+    """Points cos(j pi/n), j = 0..n, and Clenshaw-Curtis weights on [-1, 1].
+
+    Point j of order n is bit-identical to point 2j of order 2n, so nested
+    orders share their cached nodes.
+    """
+    with mp.workprec(prec):
+        c = [mp.cospi(mp.mpf(j) / n) for j in range(n + 1)]
+        w = []
+        for j in range(n + 1):
+            ms = [2 * k * j % (2 * n) for k in range(1, n // 2 + 1)]
+            acc = 1 - mp.fsum((1 if 2 * k == n else 2) * c[min(m, 2 * n - m)]
+                              / (4 * k * k - 1) for k, m in enumerate(ms, 1))
+            w.append(acc * (1 if j in (0, n) else 2) / n)
+    return c, w
+
+
+def _interpolate(nodes, values, y):
+    """Barycentric interpolation in the points cos(j pi/n)."""
+    if y in nodes:
+        return values[nodes.index(y)]
+    n = len(nodes) - 1
+    lams = [(-1) ** j / ((2 if j in (0, n) else 1) * (y - c))
+            for j, c in enumerate(nodes)]
+    return mp.fdot(lams, values) / mp.fsum(lams)
+
+
+class LaplaceEngine:
+    """Laplace sums of one germ along the ray arg p = phi, for every x.
+
+    The integrand is e^{-p x} G(s) ds with u = e^{i phi} and G = p^{lead2/2}
+    Y(p), p = u s for integer germs, or G = s^{lead2+1} Y(p), p = u s^2 for
+    half-integer ones.  The ray is cut at the dyadic edges 2^j, j >= -5, of
+    s, and each panel carries nested Clenshaw-Curtis rules (the order-n
+    nodes contain the order-n/2 ones).  G is cached per node, so a later x
+    pays only for its exponentials.  A panel is refined through CC_ORDERS
+    until its estimated error is below the working precision times the
+    integral of |integrand| over the ray.
+    """
+
+    def __init__(self, germ, phi):
+        self.evaluator = _evaluator(germ)
+        self.lead2 = germ.lead2
+        self.u = mp.expj(phi)
+        self._g = {}  # node s -> G(s)
+
+    def _p(self, s):
+        return self.u * s ** (1 + self.lead2 % 2)
+
+    def _G(self, s):
+        if s not in self._g:
+            p = self._p(s)
+            lead = s ** (self.lead2 + 1) if self.lead2 % 2 \
+                else p ** (self.lead2 // 2)
+            self._g[s] = lead * self.evaluator(p)
+        return self._g[s]
+
+    def _f(self, s, g, x, deriv):
+        p = self._p(s)
+        return mp.exp(-p * x) * g * (-p if deriv else 1)
+
+    def _rule(self, panel, n, x, deriv, fs_at):
+        """Order-n rule on one panel: (value, integral of |integrand|).
+        ``fs_at`` holds this x's integrand at the nodes of whole panels."""
+        a, b, end = panel
+        nodes, weights = _cc_rule(n, mp.mp.prec)
+        mid, half = (a + b) / 2, (b - a) / 2
+        ss = [mid + half * c for c in nodes]
+        if end < b:
+            # the panel holding the truncation point: order-n nodes of
+            # [a, end], G interpolated from the order-n nodes of [a, b]
+            gs = [self._G(s) for s in ss]
+            ss = [a + (end - a) * (1 + c) / 2 for c in nodes]
+            gs = [_interpolate(nodes, gs, (s - mid) / half) for s in ss]
+            half = (end - a) / 2
+            fs = [self._f(s, g, x, deriv) for s, g in zip(ss, gs)]
+        else:
+            # nested orders and adjacent panels share nodes
+            for s in ss:
+                if s not in fs_at:
+                    fs_at[s] = self._f(s, self._G(s), x, deriv)
+            fs = [fs_at[s] for s in ss]
+        return (mp.fdot(weights, fs) * half,
+                mp.fdot(weights, map(abs, fs)) * half)
+
+    def integrate(self, x, tmax, deriv):
+        """int_0^tmax e^{-p x} Y(p) p^{lead2/2} dp along the ray (times -p
+        for the x-derivative) and its error estimate."""
+        # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
+        half_int = self.lead2 % 2
+        smax = mp.sqrt(tmax) if half_int else tmax
+        panels, a, b = [], mp.mpf(0), mp.ldexp(1, -5)
+        while a < smax:
+            panels.append((a, b, min(b, smax)))
+            a, b = b, 2 * b
+        fs_at = {}
+        rules = [[self._rule(pan, n, x, deriv, fs_at) for n in CC_ORDERS[:3]]
+                 for pan in panels]
+        target = 16 * mp.eps * sum(r[-1][1] for r in rules)
+        for pan, r in zip(panels, rules):
+            while _estimate(r) > target and len(r) < len(CC_ORDERS):
+                r.append(self._rule(pan, CC_ORDERS[len(r)], x, deriv, fs_at))
+        val = sum(r[-1][0] for r in rules)
+        val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \
+            else self.u
+        return val, sum(_estimate(r) for r in rules)
+
+
+def _estimate(rules):
+    """Error of the last of nested rule values: d^2/d_prev bounds it under
+    geometric convergence, d (the embedded-rule difference) in any case."""
+    d = abs(rules[-1][0] - rules[-2][0])
+    d_prev = abs(rules[-2][0] - rules[-3][0])
+    return min(d, d * d / d_prev) if d_prev else d
+
 
 def _singular_direction_margin(phi):
     """Angular distance of the ray arg p = phi from the cut directions 0, pi."""
@@ -171,7 +290,14 @@ def _singular_direction_margin(phi):
     return min(d, mp.pi - d)
 
 
-def laplace_ray(germ, x, phi=None, tol=None, evaluator=None):
+@lru_cache(maxsize=64)
+def _engine(germ, phi, prec):
+    # cached node values are rounded to the working precision; the bound
+    # matters for the default ray -arg(x), one engine per direction of x
+    return LaplaceEngine(germ, phi)
+
+
+def laplace_ray(germ, x, phi=None, tol=None):
     """Laplace integral of the germ along the ray arg p = phi.
 
     Computes  int_0^{e^{i phi} inf} e^{-p x} Y(p) dp  where Y is the germ
@@ -179,10 +305,19 @@ def laplace_ray(germ, x, phi=None, tol=None, evaluator=None):
     decay.  Half-integer germs are integrated in the variable q = sqrt(p)
     so the endpoint power p^{k/2-1} becomes smooth.
 
-    Works at the ambient mpmath precision; ``tol`` defaults to a few ulps
-    of the ambient dps and controls both the truncation point of the ray
-    and the Pade-degradation guard.
+    Works at the ambient mpmath precision, which the quadrature always
+    aims at; ``tol`` defaults to a few ulps of the ambient dps and sets the
+    truncation point of the ray and the Pade-degradation guard.
     """
+    return _ray_sum(germ, x, phi, tol, deriv=False)
+
+
+def laplace_ray_derivative(germ, x, phi=None, tol=None):
+    """d/dx of the Laplace integral: same ray with an extra factor -p."""
+    return _ray_sum(germ, x, phi, tol, deriv=True)
+
+
+def _ray_sum(germ, x, phi, tol, deriv):
     x = mp.mpmathify(x)
     if phi is None:
         # steepest-decay ray, but kept at least pi/4 off the cuts (same
@@ -205,50 +340,19 @@ def laplace_ray(germ, x, phi=None, tol=None, evaluator=None):
             (float(phi), mp.nstr(x)))
     if tol is None:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
-    ev = evaluator if evaluator is not None else _evaluator(germ)
+    engine = _engine(germ, phi, mp.mp.prec)
 
     # truncate where the exponential weight alone is below tolerance
     tmax = max(mp.mpf(3), -mp.log(tol * mp.mpf("1e-3")) / decay)
-    ev.check_ray(phi, tmax, decay, tol * 100)
+    if not mp.isfinite(tmax):
+        raise QuadratureError("ray truncation point is not finite")
+    engine.evaluator.check_ray(phi, tmax, decay, tol * 100)
 
-    u = mp.expj(phi)
-    lead2 = germ.lead2
-    if lead2 % 2 == 0:
-        m = lead2 // 2
-
-        def f(t):
-            p = u * t
-            return mp.exp(-p * x) * p**m * ev(p)
-
-        pts = [t for t in (mp.mpf(0), mp.mpf("0.5"), mp.mpf(1), mp.mpf(2))
-               if t < tmax] + [tmax]
-        val, err = mp.quad(f, pts, error=True)
-        val *= u
-    else:
-        # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
-        def f(q):
-            p = u * q * q
-            return mp.exp(-p * x) * q ** (lead2 + 1) * ev(p)
-
-        qmax = mp.sqrt(tmax)
-        pts = [q for q in (mp.mpf(0), mp.mpf("0.7"), mp.mpf(1))
-               if q < qmax] + [qmax]
-        val, err = mp.quad(f, pts, error=True)
-        val *= 2 * u ** (mp.mpf(lead2) / 2 + 1)
+    val, err = engine.integrate(x, tmax, deriv)
     if err > tol * (1 + abs(val)) * 100:
         raise QuadratureError("ray quadrature error %.3e above target"
                               % float(err), err_est=err)
     return val
-
-
-def laplace_ray_derivative(germ, x, phi=None, tol=None):
-    """d/dx of the Laplace integral: same ray with an extra factor -p."""
-    shifted = BorelGerm(lead2=germ.lead2 + 2, coeffs=germ.coeffs,
-                        sqrtpi=germ.sqrtpi,
-                        nearest_singularity=germ.nearest_singularity,
-                        branch_rule=germ.branch_rule)
-    return -laplace_ray(shifted, x, phi=phi, tol=tol,
-                        evaluator=_evaluator(germ))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +489,8 @@ def sum_transseries(C, x, K=None, phi=None, tol=None, return_info=False):
 
     Levels are added until the term magnitude falls below ``tol`` (or K is
     exhausted).  Raises NonConvergentSumError when terms stop decaying,
-    which happens once C e^{-x} x^{-1/2} leaves the convergence domain.
+    which happens once C e^{-x} x^{-1/2} leaves the convergence domain, or
+    when, with K unset, 24 levels do not bring the term below ``tol``.
     """
     x = mp.mpmathify(x)
     C = mp.mpmathify(C)
@@ -413,9 +518,10 @@ def sum_transseries(C, x, K=None, phi=None, tol=None, return_info=False):
                 % (k, float(abs(term))))
         prev = term
     else:
-        if K is None and abs(term) > mp.sqrt(tol):
+        if K is None:
             raise NonConvergentSumError(
-                "transseries not converged after %d levels" % kmax)
+                "transseries not converged after %d levels (|term| = %.3e)"
+                % (kmax, float(abs(term))))
     if return_info:
         return TransseriesSum(value=total, levels_used=k,
                               last_term=float(abs(term)),
@@ -453,8 +559,7 @@ def sum_transseries_derivative(C, x, K=None, phi=None, tol=None):
 def toy_geometric_germ(N=DEFAULT_GERM_ORDER):
     """Germ of 1/(1+p): Laplace sum is exactly e^x E_1(x)."""
     return BorelGerm(lead2=0,
-                     coeffs=tuple(Fraction((-1) ** n) for n in range(N)),
-                     nearest_singularity=-1.0)
+                     coeffs=tuple(Fraction((-1) ** n) for n in range(N)))
 
 
 def toy_geometric_exact(x):
@@ -464,19 +569,11 @@ def toy_geometric_exact(x):
 def toy_halfint_germ(N=DEFAULT_GERM_ORDER):
     """Germ of p^{-1/2}/(1+p): Laplace sum is pi e^x erfc(sqrt(x))."""
     return BorelGerm(lead2=-1,
-                     coeffs=tuple(Fraction((-1) ** n) for n in range(N)),
-                     nearest_singularity=-1.0)
+                     coeffs=tuple(Fraction((-1) ** n) for n in range(N)))
 
 
 def toy_halfint_exact(x):
     return mp.pi * mp.exp(x) * mp.erfc(mp.sqrt(x))
-
-
-def toy_sqrt_germ(N=DEFAULT_GERM_ORDER):
-    """Germ of (1-p)^{-1/2}, the model branch point at p = 1."""
-    with mp.workdps(PADE_DPS):
-        cs = [mp.binomial(n - mp.mpf("0.5"), n) for n in range(N)]
-    return BorelGerm(lead2=0, coeffs=tuple(cs))
 
 
 def toy_convolution_fixture(N=40):

@@ -139,8 +139,6 @@ def borel(obj, order):
     exact = mp.sqrt(mp.mpf(6) / (5 * mp.pi)) / (2 * mp.sqrt(mp.pi))
     payload = {
         "order": order,
-        "nearest_singularity": [float(germ.nearest_singularity.real),
-                                float(germ.nearest_singularity.imag)],
         "S_estimate": [float(mp.re(S)), float(mp.im(S))],
         "S_extrapolation_error": float(S_err),
         "S_closed_form_magnitude": float(exact),

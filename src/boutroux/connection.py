@@ -34,7 +34,9 @@ def _truncation_kernel(r, kmax, theta):
         from .borel import laplace_ray, solve_H0_convolution
 
         x = mp.mpf(r) * mp.exp(1j * mp.mpf(theta))
-        phi = -math.copysign(math.pi / 8, theta)
+        # the tritronquee's callers pass mp.pi / 8, so this ray reuses
+        # their Laplace engine
+        phi = mp.pi / 8 if theta < 0 else -mp.pi / 8
         h = laplace_ray(solve_H0_convolution(), x, phi=phi, tol=1e-18)
         _KERNEL_CACHE[key] = complex(
             mp.exp(x) * mp.sqrt(x) * (h - truncated_series(x, kmax)))

@@ -1,4 +1,4 @@
-"""Borel-plane germs: Taylor data at p = 0 plus singularity metadata."""
+"""Borel-plane germs: Taylor data at p = 0."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
-
-BRANCH_CCW = "continue-counterclockwise"
-BRANCH_CW = "continue-clockwise"
-BRANCH_PRINCIPAL = "principal"
 
 
 @dataclass(frozen=True)
@@ -26,8 +22,6 @@ class BorelGerm:
     lead2: int
     coeffs: tuple = field(default_factory=tuple)
     sqrtpi: bool = False
-    nearest_singularity: complex = 1.0 + 0.0j
-    branch_rule: str = BRANCH_PRINCIPAL
 
     @property
     def alpha2(self):
@@ -48,20 +42,6 @@ class BorelGerm:
                 out.append(fac * mp.mpmathify(c))
         return out
 
-    def taylor_eval(self, p):
-        """Evaluate the truncated Taylor data directly (|p| < 1 only)."""
-        p = mp.mpmathify(p)
-        acc = mp.mpf(0)
-        for c in reversed(self.numeric_coeffs()):
-            acc = acc * p + c
-        if self.lead2:
-            acc *= p ** (mp.mpf(self.lead2) / 2)
-        return acc
-
-    def analytic_part(self):
-        """The integer-power factor  sum coeffs[n] p^n (lead2 split off)."""
-        return self.coeffs
-
     def to_json(self):
         def enc(c):
             if isinstance(c, Fraction):
@@ -73,7 +53,4 @@ class BorelGerm:
             "leading_exponent": self.lead2,
             "sqrtpi_factor": self.sqrtpi,
             "coeffs": [enc(c) for c in self.coeffs],
-            "nearest_singularity": [complex(self.nearest_singularity).real,
-                                    complex(self.nearest_singularity).imag],
-            "branch_rule": self.branch_rule,
         })

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from boutroux import borel
 from boutroux.borel import (
     germ_Hk,
     estimate_S,
@@ -28,6 +29,7 @@ from boutroux.borel import (
 from boutroux.errors import (
     NonConvergentSumError,
     QuadratureError,
+    RadiusExceededError,
     StokesDirectionError,
 )
 from boutroux.series import borel_transform, h0_series, level_series
@@ -99,6 +101,9 @@ class TestLaplaceRay:
         g = solve_H0_convolution()
         with pytest.raises(QuadratureError):
             laplace_ray(g, mp.mpf(10), phi=2.0)
+        # tol = 0 would need an infinite ray
+        with pytest.raises(QuadratureError):
+            laplace_ray(g, mp.mpf(10), phi=mp.pi / 4, tol=0)
 
     def test_ray_deformation_invariance(self):
         """Within a singularity-free sector the ray angle must not matter."""
@@ -107,6 +112,48 @@ class TestLaplaceRay:
         v1 = laplace_ray(g, x)
         v2 = laplace_ray(g, x, phi=-mp.arg(x) - mp.mpf("0.25"))
         assert abs(v1 - v2) < 1e-24
+
+    def test_values_independent_of_call_order(self):
+        """Cached nodes must not make a value depend on earlier calls."""
+        g = solve_H0_convolution()
+        xs = [mp.mpf(9), mp.mpf("10.25"), mp.mpf("11.5")]
+        for phi in (mp.pi / 4, -mp.pi / 4):
+            borel._engine.cache_clear()
+            fwd = [laplace_ray(g, x, phi=phi) for x in xs]
+            borel._engine.cache_clear()
+            rev = [laplace_ray(g, x, phi=phi) for x in reversed(xs)][::-1]
+            fresh = []
+            for x in xs:
+                borel._engine.cache_clear()
+                fresh.append(laplace_ray(g, x, phi=phi))
+            assert fwd == rev == fresh
+
+    def test_second_x_reuses_nodes(self, monkeypatch):
+        """A later x on the same ray evaluates the germ only in the guard."""
+        g = solve_H0_convolution()
+        calls = []
+        call = borel.GermEvaluator.__call__
+
+        def counting(self, p):
+            calls.append(p)
+            return call(self, p)
+
+        monkeypatch.setattr(borel.GermEvaluator, "__call__", counting)
+        borel._engine.cache_clear()
+        laplace_ray(g, mp.mpf(9), phi=mp.pi / 4)
+        first = len(calls)
+        del calls[:]
+        laplace_ray(g, mp.mpf("10.25"), phi=mp.pi / 4)
+        guard_samples = 8
+        assert first > guard_samples
+        assert len(calls) == guard_samples
+
+    def test_pade_guard_raises(self):
+        """Near the cut with slow decay the ray reaches |p| where the
+        weighted Pade error exceeds the tolerance."""
+        g = solve_H0_convolution()
+        with pytest.raises(RadiusExceededError):
+            laplace_ray(g, mp.mpf(1), phi=mp.mpf("0.05"))
 
 
 class TestStokesData:
@@ -188,9 +235,16 @@ class TestTransseriesSum:
         assert info.last_term < 1e-20
 
     def test_nonconvergent_raises(self):
-        # C e^{-x} x^{-1/2} ~ 2.3 > 1: levels grow, summation must refuse
+        # xi = C e^{-x} x^{-1/2} ~ 2.3: levels decay only like (xi/12)^k,
+        # 12 being the pole of F0 = 144 xi/(xi - 12)^2, so 24 levels end
+        # far above tol and summation must refuse
         with pytest.raises(NonConvergentSumError):
             sum_transseries(mp.mpf(1.6e5), mp.mpf(10), phi=-mp.pi / 4)
+
+    def test_growing_levels_raise(self):
+        # xi ~ 36 lies beyond |xi| = 12: levels grow from the start
+        with pytest.raises(NonConvergentSumError, match="growing"):
+            sum_transseries(mp.mpf(2.5e6), mp.mpf(10), phi=-mp.pi / 4)
 
     def test_derivative_consistency(self):
         C = mp.mpf("0.4")
