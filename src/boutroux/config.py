@@ -13,31 +13,13 @@ class RunConfig:
     """All knobs of a reproducible run."""
 
     precision: int = 30          # mpmath working digits
-    ode_tol: float = 1e-12
-    quad_tol: float = 1e-10
-    fit_tol: float = 1e-3
-    n_series: int = 200          # power-series truncation order
-    n_borel: int = 200           # Borel-plane truncation order
-    k_levels: int = 24           # transseries levels
-    region_R: float = 20.0
-    region_delta: float = 0.05
-    region_epsilon: float = 0.1
-    out_dir: str = "."
-    seed: int = 0                # grid jitter only
+    ode_tol: float = 1e-12       # relative tolerance of the ODE integrator
 
     def validate(self):
-        for name in ("ode_tol", "quad_tol", "fit_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError("%s must be positive" % name)
+        if self.ode_tol <= 0:
+            raise ConfigError("ode_tol must be positive")
         if self.precision < 15:
             raise ConfigError("precision must be at least 15 digits")
-        if self.n_series < 8 or self.n_borel < 8:
-            raise ConfigError("series orders must be at least 8")
-        if self.k_levels < 1:
-            raise ConfigError("k_levels must be at least 1")
-        for name in ("region_R", "region_delta", "region_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError("%s must be positive" % name)
         return self
 
     def config_hash(self):
@@ -53,9 +35,7 @@ def parse_config(text):
     Blank lines and #-comments are ignored; unknown keys and malformed
     lines are errors.
     """
-    known = {f.name: f.type for f in fields(RunConfig)}
-    casts = {"precision": int, "n_series": int, "n_borel": int,
-             "k_levels": int, "seed": int, "out_dir": str}
+    casts = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -66,12 +46,12 @@ def parse_config(text):
                               % (lineno, raw))
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in casts:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
         if key in values:
             raise ConfigError("line %d: duplicate key %r" % (lineno, key))
         try:
-            values[key] = casts.get(key, float)(val)
+            values[key] = casts[key](val)
         except ValueError as exc:
             raise ConfigError("line %d: bad value for %r: %s"
                               % (lineno, key, exc)) from exc

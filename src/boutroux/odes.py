@@ -4,8 +4,8 @@ The h-equation is integrated as a first-order system along piecewise-linear
 paths in complex x.  Near poles (double poles with h ~ 12/(x-x0)^2) the
 state switches to the chart g = h(1 + h/3)^{-1}, in which a pole of h is a
 regular point with g = 3, g' = 0; hysteresis thresholds avoid thrashing.
-The module also carries the first-order (y1, y2) normal-form system and the
-coordinate map back to the standard Painleve I variables.
+The module also carries the coordinate map back to the standard Painleve I
+variables.
 """
 
 from __future__ import annotations
@@ -67,59 +67,7 @@ def g_from_h(state):
 
 
 # ---------------------------------------------------------------------------
-# Normal-form system in (y1, y2) and coordinate maps
-
-LAMBDA = np.diag([1.0, -1.0])
-BMAT = np.diag([0.5, 0.5])
-
-
-def nonlinearity_g(x, y):
-    """The closed-form nonlinearity (g1, g2) of the normal-form system."""
-    y1, y2 = y
-    q = (16 * x * x + 1) * x
-    g1 = (-(1568.0 / 625.0) * (4 * x + 1) / ((16 * x * x + 1) * x**3)
-          - (4 * x - 1) * (4 * x + 1) ** 2 * y1 * y2 / (16 * q)
-          - (4 * x + 1) * (4 * x - 1) ** 2 * y1 * y1 / (32 * q)
-          - (4 * x + 1) ** 3 * y2 * y2 / (32 * q)
-          - (2 * x - 1) * y1 / q
-          + (8 * x - 1) * y2 / (2 * q))
-    g2 = ((1568.0 / 625.0) * (4 * x - 1) / ((16 * x * x + 1) * x**3)
-          + (4 * x + 1) * (4 * x - 1) ** 2 * y1 * y2 / (16 * q)
-          + (4 * x - 1) ** 3 * y1 * y1 / (32 * q)
-          + (4 * x - 1) * (4 * x + 1) ** 2 * y2 * y2 / (32 * q)
-          - (8 * x + 1) * y1 / (2 * q)
-          + (2 * x + 1) * y2 / q)
-    return np.array([g1, g2])
-
-
-def rhs_y(x, y):
-    """y' = -(Lambda + B/x) y + g(x, y)."""
-    if abs(16 * x * x + 1) < 1e-12:
-        raise ValueError("normal-form transform is singular at x = +-i/4")
-    return (-(LAMBDA + BMAT / x) @ y) + nonlinearity_g(x, y)
-
-
-def y_to_h(x, y):
-    """(y1, y2) -> (h, h') through the linear change of variables."""
-    a = 1 / (4 * x)
-    y1, y2 = y
-    h = 0.5 * ((1 - a) * y1 + (1 + a) * y2)
-    hp = 0.5 * (-(1 + a) * y1 + (1 - a) * y2)
-    return np.array([h, hp])
-
-
-def h_to_y(x, state):
-    """Inverse of :func:`y_to_h`."""
-    if abs(16 * x * x + 1) < 1e-12:
-        raise ValueError("normal-form transform is singular at x = +-i/4")
-    a = 1 / (4 * x)
-    p, q = 1 - a, 1 + a
-    h, hp = state
-    det = (p * p + q * q) / 2  # = (16x^2+1)/(16x^2)
-    y1 = (p * h - q * hp) / det
-    y2 = (q * h + p * hp) / det
-    return np.array([y1, y2])
-
+# Coordinate maps to the standard Painleve I variables
 
 _Z_FACTOR = 30.0 ** 0.8 / 24.0
 

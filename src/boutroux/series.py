@@ -8,7 +8,8 @@ This module generates, in exact rational arithmetic,
 
 * the unique algebraic formal solution  h0 = sum_{k>=4, k even} c_k x^{-k},
 * the exponential levels t_k of the transseries
-  h = h0 + sum_k C^k e^{-kx} x^{-k/2} t_k(x),
+  h = h0 + sum_k C^k e^{-kx} x^{-k/2} t_k(x), with t_1 normalized to
+  leading coefficient 1 (so h ~ C x^{-1/2} e^{-x}),
 * Borel transforms of such series.
 
 All exponents are tracked in half-integer units (stored doubled as ints) so
@@ -30,11 +31,6 @@ from .germ import BorelGerm
 # Coefficient of x^{-4} in the h-equation.  Everything in this module is
 # parametrized by it so the integrability witness can perturb it.
 EQP_COEFF = Fraction(-392, 625)
-
-# t_1 is normalized to leading coefficient 1 (so h ~ C x^{-1/2} e^{-x}).
-# The y-system normalization s_1 = (1 + 1/(8x)) e_1 differs by this factor
-# through the linear change of variables back to (h, h').
-Y_TO_H_LEVEL1 = Fraction(1, 2)
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,13 @@
 
 The functions F_n are obtained exactly by resumming the transseries in the
 second scale xi: the coefficient of xi^k in F_n is the x^{-n} coefficient
-of the level-k series t_k.  Each F_n is fitted (in exact rational
-arithmetic, with over-determination checks) to the ansatz
-
-    F_n(xi) = P_n(xi) / (xi - 12)^{n+2} + beta_n H_1(xi) ln(1 - xi/12)
-
-with deg P_n <= 2n+2 and H_1 = -144 xi (xi+12)/(xi-12)^3 the homogeneous
-solution of the linearized equation.  For the integrable equation
-coefficient -392/625 all beta_n vanish; the first obstruction appears at
-n = 6 for any other coefficient.
-
-The module also carries the G-chart expansion of g = 3h/(3+h) (regular at
-the poles, excluded point xi = -12) and the four-order pole-location
-asymptotics.
+of the level-k series t_k, and F_n = P_n(xi) / (xi - 12)^{n+2} with
+deg P_n <= 2n+2 (exact Fraction arithmetic, no linear solve).  For the
+integrable equation coefficient -392/625 this holds at every order; for
+any other coefficient a ln(1 - xi/12) term appears at n = 6, measured by
+the integrability witness.  The module also carries the G-chart expansion
+of g = 3h/(3+h) (regular at the poles, excluded point xi = -12) and the
+four-order pole-location asymptotics.
 """
 
 from __future__ import annotations
@@ -24,30 +18,97 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import zip_longest
 
 import mpmath as mp
-import sympy as sp
 
 from .errors import ObstructionError, OutsideRegionError
 from .series import EQP_COEFF, h0_coefficients, transseries_level
-
-XI = sp.Symbol("xi")
 
 #: default region parameters of the fixed-|xi| validity domain
 EPSILON = 0.1
 DELTA = 0.05
 RADIUS = 20.0
 
+# ---------------------------------------------------------------------------
+# Exact rational functions of xi; polynomials are coefficient tuples, lowest
+# degree first
 
-def F0_expr():
-    """F_0(xi) = 144 xi / (xi - 12)^2."""
-    return 144 * XI / (XI - 12) ** 2
+
+def _padd(p, q):
+    return tuple(a + b for a, b in zip_longest(p, q, fillvalue=0))
 
 
-def H1_expr():
-    """Homogeneous solution of the linearization, xi dF0/dxi."""
-    return -144 * XI * (XI + 12) / (XI - 12) ** 3
+def _pmul(p, q):
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _power(root, n):
+    """(xi - root)^n."""
+    return tuple(math.comb(n, k) * (-root) ** (n - k) for k in range(n + 1))
+
+
+def _cancel(num, power, root):
+    """Divide (xi - root) out of num up to power times (synthetic division)."""
+    while num and power:
+        quo = [num[-1]]
+        for c in reversed(num[:-1]):
+            quo.append(c + root * quo[-1])
+        if quo.pop():  # the remainder num(root)
+            break
+        num, power = tuple(reversed(quo)), power - 1
+    return num, power
+
+
+class _Term:
+    """N(xi) / ((xi - 12)^a (xi + 12)^b), exact and in lowest terms."""
+
+    def __init__(self, num, a=0, b=0):
+        num = tuple(Fraction(c) for c in num)
+        while num and num[-1] == 0:
+            num = num[:-1]
+        num, a = _cancel(num, a, 12)
+        num, b = _cancel(num, b, -12)
+        self.num, self.a, self.b = (num, a, b) if num else ((), 0, 0)
+
+    def __add__(self, other):
+        other = _as_term(other)
+        a, b = max(self.a, other.a), max(self.b, other.b)
+        num = [_pmul(t.num, _pmul(_power(12, a - t.a), _power(-12, b - t.b)))
+               for t in (self, other)]
+        return _Term(_padd(*num), a, b)
+
+    def __mul__(self, other):
+        other = _as_term(other)
+        return _Term(_pmul(self.num, other.num), self.a + other.a,
+                     self.b + other.b)
+
+    def __sub__(self, other):
+        return self + _as_term(other) * -1
+
+    def theta(self):
+        """xi d/dxi, taken over the denominator times (xi^2 - 144)."""
+        a, b = self.a, self.b
+        xdN = tuple(k * c for k, c in enumerate(self.num))
+        xN = (0,) + self.num
+        num = _padd(_pmul(xdN, (-144, 0, 1)),
+                    _pmul(xN, (12 * (b - a), -(a + b))))
+        return _Term(num, a + 1, b + 1)
+
+    def evaluate(self, xi):
+        """Value at an mpmath number xi, by Horner's rule."""
+        val = mp.mpf(0)
+        for c in reversed(self.num):
+            val = val * xi + mp.mpmathify(c)  # c rounded once
+        return val / ((xi - 12) ** self.a * (xi + 12) ** self.b)
+
+
+def _as_term(v):
+    return v if isinstance(v, _Term) else _Term((v,))
 
 
 def level_coefficient(n, k, eqp_coeff=EQP_COEFF):
@@ -57,55 +118,26 @@ def level_coefficient(n, k, eqp_coeff=EQP_COEFF):
         if n < 4:
             return Fraction(0)
         return h0_coefficients(n, eqp_coeff)[n - 4]
-    t = transseries_level(k, max(n, 1) + 1, eqp_coeff)
-    return t.coeffs[n] if n < len(t.coeffs) else Fraction(0)
-
-
-def _pole_col(i, npow, k):
-    """Coefficient of xi^k in xi^i (xi - 12)^{-npow}."""
-    m = k - i
-    if m < 0:
-        return Fraction(0)
-    return Fraction((-1) ** npow * comb(m + npow - 1, npow - 1),
-                    12 ** (npow + m))
-
-
-def _H1_col(k):
-    return -144 * (_pole_col(2, 3, k) + 12 * _pole_col(1, 3, k))
+    return transseries_level(k, max(n, 1) + 1, eqp_coeff).coeffs[n]
 
 
 @lru_cache(maxsize=None)
-def _logH1_col(k):
-    """Coefficient of xi^k in H_1(xi) ln(1 - xi/12)."""
-    tot = Fraction(0)
-    for m in range(1, k + 1):
-        tot += _H1_col(k - m) * Fraction(-1, m * 12 ** m)
-    return tot
+def _fit_Fn(n, eqp_coeff=EQP_COEFF):
+    """F_n = P_n / (xi - 12)^{n+2}, or None if F_n has a logarithm.
 
-
-@lru_cache(maxsize=None)
-def _fit_Fn(n, eqp_coeff=EQP_COEFF, verify_extra=4):
-    """Exact fit of F_n; returns (numerator tuple, beta)."""
-    eqp_coeff = Fraction(eqp_coeff)
-    npow = n + 2
-    deg = 2 * n + 2
-    unknowns = deg + 2  # numerator coefficients and beta
-    K = unknowns + verify_extra
-    rows = [[sp.Rational(_pole_col(i, npow, k)) for i in range(deg + 1)]
-            + [sp.Rational(_logH1_col(k))] for k in range(K)]
-    rhs = [sp.Rational(level_coefficient(n, k, eqp_coeff)) for k in range(K)]
-    A = sp.Matrix(rows[:unknowns])
-    b = sp.Matrix(rhs[:unknowns])
-    sol = A.solve(b)
-    ok = all(sum(rows[k][i] * sol[i] for i in range(unknowns)) == rhs[k]
-             for k in range(unknowns, K))
-    numer = tuple(Fraction(int(v.p), int(v.q)) for v in sol[:-1])
-    beta = Fraction(int(sol[-1].p), int(sol[-1].q))
-    return numer, beta, ok
+    P_n is sum_k f_k xi^k (xi - 12)^{n+2}, f_k = level_coefficient(n, k),
+    cut after degree 2n+2.  With the 2n+8 coefficients f_k, k < 2n+8, the
+    product's coefficients of degrees 2n+3 .. 2n+7 must vanish.
+    """
+    series = [level_coefficient(n, k, eqp_coeff) for k in range(2 * n + 8)]
+    prod = _pmul(series, _power(12, n + 2))
+    if any(prod[2 * n + 3:2 * n + 8]):
+        return None
+    return _Term(prod[:2 * n + 3], n + 2)
 
 
 def compute_F(n, eqp_coeff=EQP_COEFF):
-    """Exact F_n(xi) as a sympy expression.
+    """Exact F_n(xi), a numerator polynomial over (xi - 12)^{n+2}.
 
     Raises ObstructionError when no rational F_n exists (non-integrable
     equation coefficient, n >= 6); the obstruction coefficient attached
@@ -113,30 +145,32 @@ def compute_F(n, eqp_coeff=EQP_COEFF):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return F0_expr()
     eqp_coeff = Fraction(eqp_coeff)
-    numer, beta, ok = _fit_Fn(n, eqp_coeff)
-    if not ok or beta != 0:
+    F = _fit_Fn(n, eqp_coeff)
+    if F is None:
         raise ObstructionError(
             "no log-free two-scale function at order %d" % n,
             coefficient=integrability_witness(eqp_coeff))
-    poly = sum(sp.Rational(c) * XI ** i for i, c in enumerate(numer))
-    return poly / (XI - 12) ** (n + 2)
+    return F
 
 
-def _theta(e):
-    return sp.cancel(XI * sp.diff(e, XI))
+#: F_0(xi) = 144 xi / (xi - 12)^2
+F0 = compute_F(0)
+#: xi dF_0/dxi, the homogeneous solution of the linearization
+H1 = F0.theta()
+# 1/(3 + F_0), from 3 + F_0 = 3 (xi + 12)^2 / (xi - 12)^2
+_RECIP_3_F0 = _Term(_power(12, 2), 0, 2) * Fraction(1, 3)
+_ZERO = _Term(())
 
 
 def _apply_ddx(levels):
     """One x-derivative on sum_j A_j(xi) x^{-j} with xi' = -xi (1 + 1/2x)."""
-    out = {}
+    out = {j: _ZERO for j in range(max(levels) + 2)}
     for j, A in levels.items():
-        th = _theta(A)
-        out[j] = out.get(j, 0) - th
-        out[j + 1] = out.get(j + 1, 0) - (th / 2 + j * A)
-    return {j: sp.cancel(v) for j, v in out.items()}
+        th = A.theta()
+        out[j] -= th
+        out[j + 1] -= th * Fraction(1, 2) + A * j
+    return out
 
 
 def hierarchy_residuals(c, jmax=6):
@@ -147,16 +181,14 @@ def hierarchy_residuals(c, jmax=6):
     """
     c = Fraction(c)
     h = {j: compute_F(j, c) for j in range(jmax)}
+    h[jmax] = _ZERO
     h1 = _apply_ddx(h)
     h2 = _apply_ddx(h1)
     E = {}
-    cq = sp.Rational(c)
     for j in range(jmax + 1):
-        e = h2.get(j, 0) + h1.get(j - 1, 0) - h.get(j, 0)
-        if j == 4:
-            e += cq
-        conv = sum(h.get(a, 0) * h.get(j - a, 0) for a in range(j + 1))
-        E[j] = sp.cancel(e - conv / 2)
+        conv = sum((h[a] * h[j - a] for a in range(j + 1)), _ZERO)
+        E[j] = (h2[j] + h1.get(j - 1, _ZERO) - h[j] - conv * Fraction(1, 2)
+                + (c if j == 4 else 0))
     return E
 
 
@@ -166,12 +198,15 @@ def integrability_witness(c):
     The order-6 equation is M F_6 = R_6 with M = Theta^2 - 1 - F_0, which
     admits a solution free of ln(xi - 12) iff the pairing of R_6 with the
     rational homogeneous solution H_1 has no residue at the resonant
-    point: witness = Res_{xi=12} H_1(xi) R_6(xi) / xi.  Exact rational in
-    c; zero exactly at c = -392/625.
+    point: witness = Res_{xi=12} H_1(xi) R_6(xi) / xi, the eta^{a-1}
+    coefficient of P(12 + eta) for H_1 R_6 / xi = P(xi) / (xi - 12)^a.
+    Exact rational in c; zero exactly at c = -392/625.
     """
-    R6 = sp.cancel(-hierarchy_residuals(Fraction(c), 6)[6])
-    res = sp.residue(sp.cancel(H1_expr() * R6 / XI), XI, 12)
-    return Fraction(int(res.p), int(res.q))
+    pair = H1 * hierarchy_residuals(c, 6)[6] * -1  # H_1 R_6
+    assert pair.b == 0 and not any(pair.num[:1])  # H_1 has the factor xi
+    P, k = pair.num[1:], pair.a - 1
+    return sum((p * math.comb(i, k) * 12 ** (i - k)
+                for i, p in enumerate(P) if i >= k >= 0), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -181,12 +216,10 @@ def compute_G(n, eqp_coeff=EQP_COEFF):
     From g (3 + h) = 3 h order by order:
     (3 + F_0) G_n = 3 F_n - sum_{a<n} G_a F_{n-a}.
     """
-    if n == 0:
-        return sp.cancel(3 * F0_expr() / (3 + F0_expr()))
-    acc = 3 * compute_F(n, eqp_coeff)
+    acc = compute_F(n, eqp_coeff) * 3
     for a in range(n):
         acc -= compute_G(a, eqp_coeff) * compute_F(n - a, eqp_coeff)
-    return sp.cancel(acc / (3 + F0_expr()))
+    return acc * _RECIP_3_F0
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +234,8 @@ def xi_of(x, C):
 
 @lru_cache(maxsize=None)
 def _lambdified(n, chart):
-    fn = compute_F(n) if chart == "F" else compute_G(n)
-    return sp.lambdify(XI, fn, modules="mpmath")
+    """Horner evaluator of F_n or G_n at the integrable coefficient."""
+    return (compute_F(n) if chart == "F" else compute_G(n)).evaluate
 
 
 def region_ok(xi, chart, epsilon=EPSILON):

@@ -21,12 +21,13 @@ class TestConfig:
         assert cfg.precision == 30
 
     def test_parse_round_trip(self):
-        text = "precision = 40\node_tol = 1e-10\n# comment\nout_dir = /tmp\n"
+        text = "# comment\nprecision = 40  # digits\n\n"
         cfg = parse_config(text)
         assert cfg.precision == 40
+        assert cfg.ode_tol == RunConfig().ode_tol  # untouched default
+        cfg = parse_config("ode_tol = 1e-10\n")
         assert cfg.ode_tol == 1e-10
-        assert cfg.out_dir == "/tmp"
-        assert cfg.quad_tol == RunConfig().quad_tol  # untouched default
+        assert cfg.precision == RunConfig().precision
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -60,8 +61,8 @@ class TestConfig:
 
     def test_load_config(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("n_series = 64\n")
-        assert load_config(p).n_series == 64
+        p.write_text("ode_tol = 1e-9\n")
+        assert load_config(p).ode_tol == 1e-9
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
-"""ODE engine: charts, normal form, path integration, poles, seeding.
+"""ODE engine: charts, coordinate maps, path integration, poles, seeding.
 
-Oracles: sympy chain-rule substitution for the chart right-hand sides,
-conjugation of the h-system for the (y1, y2) normal form, the Borel-summed
+Oracles: the chain rule through g = 3h/(3+h) for the chart right-hand
+sides, Painleve I itself for the coordinate maps, the Borel-summed
 transseries for far-field values, and the four-order pole-location
 asymptotics cross-checked against detected poles.
 """
@@ -22,15 +22,11 @@ from boutroux.odes import (
     far_field_init,
     g_from_h,
     h_from_g,
-    h_to_y,
     integrate_path,
     map_x_to_z,
     map_z_to_x,
-    nonlinearity_g,
     rhs_g,
     rhs_h,
-    rhs_y,
-    y_to_h,
 )
 
 cnum = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
@@ -91,52 +87,6 @@ class TestRightHandSides:
     def test_singular_at_origin(self):
         with pytest.raises(ValueError):
             rhs_h(0.0, np.array([1.0, 1.0]))
-
-
-class TestNormalForm:
-    @given(cnum, cnum, cnum)
-    @settings(max_examples=50, deadline=None)
-    def test_conjugation_oracle(self, x, y1, y2):
-        """rhs_y is rhs_h conjugated by the linear change of variables.
-
-        d/dx [y(x)] computed two ways: directly from rhs_y, and by mapping
-        to (h, h'), flowing with rhs_h, and accounting for the x-dependence
-        of the transformation via finite differences.
-        """
-        if abs(x) < 0.4 or abs(16 * x * x + 1) < 0.2:
-            return
-        y = np.array([y1, y2])
-        dy = rhs_y(x, y)
-        state = y_to_h(x, y)
-        dstate = rhs_h(x, state)
-        eps = 1e-7
-        # y(x+eps) from the flowed h-state through the x-dependent map
-        y_plus = h_to_y(x + eps, state + eps * dstate)
-        y_minus = h_to_y(x - eps, state - eps * dstate)
-        fd = (y_plus - y_minus) / (2 * eps)
-        scale = max(1.0, float(np.max(np.abs(dy))))
-        assert np.max(np.abs(dy - fd)) < 2e-5 * scale
-
-    @given(cnum, cnum, cnum)
-    @settings(max_examples=50, deadline=None)
-    def test_y_round_trip(self, x, y1, y2):
-        if abs(x) < 0.3 or abs(16 * x * x + 1) < 0.2:
-            return
-        y = np.array([y1, y2])
-        back = h_to_y(x, y_to_h(x, y))
-        assert np.max(np.abs(back - y)) < 1e-9 * max(1.0, abs(y1), abs(y2))
-
-    def test_nonlinearity_is_quadratic_plus_forcing(self):
-        """g(x, 0) carries only the x^{-3}-type forcing terms."""
-        x = 2.37
-        g0 = nonlinearity_g(x, np.array([0.0, 0.0]))
-        f = 1568.0 / 625.0 / ((16 * x * x + 1) * x**3)
-        assert abs(g0[0] - (-f * (4 * x + 1))) < 1e-15
-        assert abs(g0[1] - f * (4 * x - 1)) < 1e-15
-
-    def test_transform_singularity_refused(self):
-        with pytest.raises(ValueError):
-            rhs_y(0.25j, np.array([0.0, 0.0]))
 
 
 class TestCoordinateMaps:
