@@ -35,25 +35,15 @@ from .series import EQP_COEFF, borel_transform, level_series
 # 45-degree ray with error below 1e-22, far under the Laplace weight there.
 PADE_DPS = 60
 DEFAULT_GERM_ORDER = 200
-
-
-def convolve_coeffs(a, b, nmax):
-    """Taylor coefficients of the Laplace convolution a * b up to p^nmax.
-
-    (p^i) * (p^j) = p^{i+j+1} i! j! / (i+j+1)!.
-    """
-    out = [Fraction(0)] * (nmax + 1)
-    for i, ai in enumerate(a):
-        if not ai or i + 1 > nmax:
-            continue
-        for j, bj in enumerate(b):
-            n = i + j + 1
-            if n > nmax:
-                break
-            if bj:
-                out[n] += ai * bj * Fraction(factorial(i) * factorial(j),
-                                             factorial(n))
-    return out
+# the Pade table behind the error estimate leaves out this many of the
+# last coefficients
+CHECK_DROP = 20
+# points sampled along a ray by the Pade guard
+GUARD_SAMPLES = 8
+# levels after which a transseries sum that is still above tol is refused
+KMAX = 24
+# number of 1/n corrections fitted by estimate_S
+EXTRAPOLATION_ORDER = 12
 
 
 @lru_cache(maxsize=None)
@@ -83,10 +73,9 @@ def solve_H0_convolution(N=DEFAULT_GERM_ORDER, eqp_coeff=EQP_COEFF):
 
 
 @lru_cache(maxsize=None)
-def germ_Hk(k, N=None):
+def germ_Hk(k):
     """Borel transform of the level-k exponential correction x^{-k/2} t_k."""
-    if N is None:
-        N = DEFAULT_GERM_ORDER if k <= 3 else (120 if k <= 8 else 60)
+    N = DEFAULT_GERM_ORDER if k <= 3 else (120 if k <= 8 else 60)
     return borel_transform(level_series(k, N))
 
 
@@ -102,14 +91,13 @@ class GermEvaluator:
     An error estimate comes from comparing against a lower-order table.
     """
 
-    def __init__(self, germ: BorelGerm, dps=PADE_DPS, check_drop=20):
+    def __init__(self, germ: BorelGerm):
         self.germ = germ
-        self.dps = dps
-        with mp.workdps(dps):
+        with mp.workdps(PADE_DPS):
             cs = germ.numeric_coeffs()
             self._pq = self._build(cs)
-            self._pq_check = self._build(cs[:-check_drop]) \
-                if len(cs) > check_drop + 10 else None
+            self._pq_check = self._build(cs[:-CHECK_DROP]) \
+                if len(cs) > CHECK_DROP + 10 else None
 
     @staticmethod
     def _build(cs):
@@ -125,7 +113,7 @@ class GermEvaluator:
         return cs, [mp.mpf(1)]
 
     def __call__(self, p):
-        with mp.workdps(self.dps):
+        with mp.workdps(PADE_DPS):
             num, den = self._pq
             return mp.polyval(num, p) / mp.polyval(den, p)
 
@@ -133,18 +121,18 @@ class GermEvaluator:
         """Difference between the two Pade orders at p (0 if no check table)."""
         if self._pq_check is None:
             return mp.mpf(0)
-        with mp.workdps(self.dps):
+        with mp.workdps(PADE_DPS):
             num, den = self._pq_check
             return abs(self(p) - mp.polyval(num, p) / mp.polyval(den, p))
 
-    def check_ray(self, phi, tmax, decay, tol, samples=8):
+    def check_ray(self, phi, tmax, decay, tol):
         """Guard the ray: Pade error times the Laplace weight must stay
         below ``tol``.  Raises RadiusExceededError otherwise."""
-        with mp.workdps(self.dps):
+        with mp.workdps(PADE_DPS):
             direction = mp.expj(phi)
             worst = mp.mpf(0)
-            for i in range(1, samples + 1):
-                t = tmax * i / samples
+            for i in range(1, GUARD_SAMPLES + 1):
+                t = tmax * i / GUARD_SAMPLES
                 worst = max(worst,
                             self.err_est(direction * t) * mp.exp(-decay * t))
         if worst > tol:
@@ -359,7 +347,7 @@ def _ray_sum(germ, x, phi, tol, deriv):
 # Singularity data from coefficient asymptotics
 
 
-def estimate_S(germ=None, nmax=None, order=12):
+def estimate_S(germ=None):
     """Stokes prefactor from the large-n Borel coefficients.
 
     A square-root singularity  S / sqrt(1 - p)  at p = 1, mirrored at
@@ -383,9 +371,7 @@ def estimate_S(germ=None, nmax=None, order=12):
                 if isinstance(b, Fraction) else mp.mpmathify(b)
             seq.append((n, bn * mp.sqrt(mp.pi) * mp.factorial(n)
                         / (2 * mp.gamma(n + mp.mpf("0.5")))))
-        if nmax is not None:
-            seq = [(n, s) for n, s in seq if n <= nmax]
-        if len(seq) < order + 4:
+        if len(seq) < EXTRAPOLATION_ORDER + 4:
             raise NoConvergenceError("too few coefficients for extrapolation")
         drift = abs(seq[-1][1] / seq[-2][1] - 1)
         if drift > mp.mpf("0.01"):
@@ -404,8 +390,8 @@ def estimate_S(germ=None, nmax=None, order=12):
                 v[r] = s
             return mp.lu_solve(A, v)[0]
 
-        val = extrapolate(order)
-        err = abs(val - extrapolate(order - 2))
+        val = extrapolate(EXTRAPOLATION_ORDER)
+        err = abs(val - extrapolate(EXTRAPOLATION_ORDER - 2))
     return val, err
 
 
@@ -413,34 +399,30 @@ def estimate_S(germ=None, nmax=None, order=12):
 # Hankel loops around the cuts
 
 
-def jump_via_hankel(germ, x, dist=0.3, tol=None, negative_cut=False):
-    """Loop integral of e^{-px} Y(p) around a Borel cut.
+def jump_via_hankel(germ, x):
+    """Loop integral of e^{-px} Y(p) around the Borel cut [1, inf).
 
-    With ``negative_cut`` false the (counterclockwise) loop hugs [1, inf):
-    in from p = T - i*dist, around p = 1, out along p = T + i*dist.  This
-    equals the difference of the two lateral Laplace sums across the
-    positive Stokes direction.  With ``negative_cut`` true the mirrored
-    loop hugs (-inf, -1] (for x near the negative real axis).
+    The (counterclockwise) loop comes in from p = T - 0.3i, turns around
+    p = 1 and goes out along p = T + 0.3i.  This equals the difference of
+    the two lateral Laplace sums across the positive Stokes direction.
     """
     x = mp.mpmathify(x)
-    sgn = -1 if negative_cut else 1
-    decay = mp.re(sgn * x)
+    decay = mp.re(x)
     if decay <= 0:
         raise QuadratureError("loop integrand does not decay for x = %s"
                               % mp.nstr(x))
-    if tol is None:
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
+    tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
     ev = _evaluator(germ)
-    d = mp.mpf(dist)
+    d = mp.mpf(0.3)
     T = max(mp.mpf(2), 1 + -mp.log(tol * mp.mpf("1e-3")) / decay)
-    a = sgn * (1 - d)  # turning abscissa, just shy of the branch point
+    a = 1 - d  # turning abscissa, just shy of the branch point
+    lead = germ.lead2 // 2 if germ.lead2 % 2 == 0 else mp.mpf(germ.lead2) / 2
 
     def f(p):
-        return mp.exp(-p * x) * ev(p) * _power(p, germ.lead2, sgn)
+        return mp.exp(-p * x) * ev(p) * p ** lead
 
     # three straight legs, counterclockwise around the cut
-    corners = [sgn * T - 1j * d * sgn, a - 1j * d * sgn,
-               a + 1j * d * sgn, sgn * T + 1j * d * sgn]
+    corners = [T - 1j * d, a - 1j * d, a + 1j * d, T + 1j * d]
     total = mp.mpc(0)
     errs = mp.mpf(0)
     for z0, z1 in zip(corners[:-1], corners[1:]):
@@ -454,22 +436,6 @@ def jump_via_hankel(germ, x, dist=0.3, tol=None, negative_cut=False):
     return total
 
 
-def _power(p, lead2, sgn):
-    """p^{lead2/2} continued from the ray arg p = 0 (sgn=+1) or pi (sgn=-1).
-
-    For the mirrored loop the phase is continued through the upper half
-    plane, so arg p is taken in (0, 2*pi) when sgn = -1.
-    """
-    if lead2 % 2 == 0:
-        return p ** (lead2 // 2)
-    if sgn > 0:
-        return p ** (mp.mpf(lead2) / 2)
-    theta = mp.arg(p)
-    if theta <= 0:
-        theta += 2 * mp.pi
-    return abs(p) ** (mp.mpf(lead2) / 2) * mp.expj(theta * mp.mpf(lead2) / 2)
-
-
 # ---------------------------------------------------------------------------
 # Transseries summation
 
@@ -481,34 +447,49 @@ class TransseriesSum:
     value: complex
     levels_used: int
     last_term: float
-    truncation_estimate: float
 
 
-def sum_transseries(C, x, K=None, phi=None, tol=None, return_info=False):
+def sum_transseries(C, x, phi=None, tol=None, return_info=False):
     """Laplace-sum the transseries  h = L[H0] + sum_k C^k e^{-kx} L[H_k].
 
-    Levels are added until the term magnitude falls below ``tol`` (or K is
-    exhausted).  Raises NonConvergentSumError when terms stop decaying,
-    which happens once C e^{-x} x^{-1/2} leaves the convergence domain, or
-    when, with K unset, 24 levels do not bring the term below ``tol``.
+    Levels are added until the term magnitude falls below ``tol``.  Raises
+    NonConvergentSumError when terms stop decaying, which happens once
+    C e^{-x} x^{-1/2} leaves the convergence domain, or when KMAX levels
+    do not bring the term below ``tol``.
     """
+    info = _sum_levels(C, x, phi, tol, deriv=False)
+    return info if return_info else info.value
+
+
+def sum_transseries_derivative(C, x, phi=None, tol=None):
+    """x-derivative of the summed transseries (for ODE seeding)."""
+    return _sum_levels(C, x, phi, tol, deriv=True).value
+
+
+def _sum_levels(C, x, phi, tol, deriv):
     x = mp.mpmathify(x)
     C = mp.mpmathify(C)
     if tol is None:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
-    kmax = 24 if K is None else K
-    total = laplace_ray(solve_H0_convolution(), x, phi=phi, tol=tol)
+    ray = laplace_ray_derivative if deriv else laplace_ray
+    total = ray(solve_H0_convolution(), x, phi=phi, tol=tol)
     prev = mp.inf
     term = mp.mpf(0)
     k = 0
-    for k in range(1, kmax + 1):
+    for k in range(1, KMAX + 1):
         if C == 0:
             k = 0
             break
+        g = germ_Hk(k)
         prefac = C**k * mp.exp(-k * x)
         # the ray only needs enough accuracy for the level's contribution
         level_tol = tol / min(abs(prefac), mp.mpf(1))
-        term = prefac * laplace_ray(germ_Hk(k), x, phi=phi, tol=level_tol)
+        if deriv:
+            term = prefac * (
+                laplace_ray_derivative(g, x, phi=phi, tol=level_tol)
+                - k * laplace_ray(g, x, phi=phi, tol=level_tol))
+        else:
+            term = prefac * laplace_ray(g, x, phi=phi, tol=level_tol)
         total += term
         if abs(term) < tol:
             break
@@ -518,38 +499,11 @@ def sum_transseries(C, x, K=None, phi=None, tol=None, return_info=False):
                 % (k, float(abs(term))))
         prev = term
     else:
-        if K is None:
-            raise NonConvergentSumError(
-                "transseries not converged after %d levels (|term| = %.3e)"
-                % (kmax, float(abs(term))))
-    if return_info:
-        return TransseriesSum(value=total, levels_used=k,
-                              last_term=float(abs(term)),
-                              truncation_estimate=float(abs(term)))
-    return total
-
-
-def sum_transseries_derivative(C, x, K=None, phi=None, tol=None):
-    """x-derivative of the summed transseries (for ODE seeding)."""
-    x = mp.mpmathify(x)
-    C = mp.mpmathify(C)
-    if tol is None:
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
-    kmax = 24 if K is None else K
-    total = laplace_ray_derivative(solve_H0_convolution(), x, phi=phi, tol=tol)
-    for k in range(1, kmax + 1):
-        if C == 0:
-            break
-        g = germ_Hk(k)
-        prefac = C**k * mp.exp(-k * x)
-        level_tol = tol / min(abs(prefac), mp.mpf(1))
-        lev = prefac * (
-            laplace_ray_derivative(g, x, phi=phi, tol=level_tol)
-            - k * laplace_ray(g, x, phi=phi, tol=level_tol))
-        total += lev
-        if abs(lev) < tol:
-            break
-    return total
+        raise NonConvergentSumError(
+            "transseries not converged after %d levels (|term| = %.3e)"
+            % (KMAX, float(abs(term))))
+    return TransseriesSum(value=total, levels_used=k,
+                          last_term=float(abs(term)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,22 +528,3 @@ def toy_halfint_germ(N=DEFAULT_GERM_ORDER):
 
 def toy_halfint_exact(x):
     return mp.pi * mp.exp(x) * mp.erfc(mp.sqrt(x))
-
-
-def toy_convolution_fixture(N=40):
-    """Taylor solution of the toy equation (1 - p) Y = p + Y*Y.
-
-    Exercises the convolution recurrence on an independent nonlinear
-    fixture; Y = p + p^2 + ... with hand-checkable low orders.
-    """
-    y = [Fraction(0)] * (N + 1)
-    y[1] = Fraction(1)
-    for n in range(2, N + 1):
-        sq = Fraction(0)
-        for i in range(1, n - 1):
-            j = n - 1 - i
-            if j >= 1:
-                sq += y[i] * y[j] * Fraction(factorial(i) * factorial(j),
-                                             factorial(n))
-        y[n] = y[n - 1] + sq
-    return tuple(y)

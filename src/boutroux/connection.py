@@ -10,7 +10,6 @@ closed form i sqrt(6/(5 pi)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -46,19 +45,6 @@ def _truncation_kernel(r, kmax, theta):
 def mu_closed_form():
     """mu = i sqrt(6/(5 pi))."""
     return 1j * mp.sqrt(mp.mpf(6) / (5 * mp.pi))
-
-
-@dataclass
-class ConnectionData:
-    """Constants of one solution with respect to the two lateral frames."""
-
-    C_plus: complex
-    C_minus: complex
-    mu: complex
-
-    def jump_residual(self):
-        """Residual of the lateral-frame relation C+ - C- = -mu."""
-        return self.C_plus - self.C_minus + self.mu
 
 
 def truncated_series(x, kmax):

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,16 +35,20 @@ from .errors import (
     MatchFailureError,
     NoIntegerConsistencyError,
 )
+from .odes import EQ4
 
 #: inhomogeneity constant 2 * 392/625 of the s-equation
-S_SOURCE = 784.0 / 625.0
+S_SOURCE = 2 * EQ4
 
 U_BASE = -4.0
 CYCLE_CENTER = -2.0
 CYCLE_RADIUS = 2.0
 
-#: guard radius around the degenerate energies {0, -4/3}
+#: guard radius around the degenerate energies {0, -4/3}, and the least
+#: distance of a cubic root from the contour
 DEGENERATE_GUARD = 0.05
+#: trapezoid nodes of the period quadrature
+NPTS = 512
 
 
 def cubic_roots(s):
@@ -54,21 +59,6 @@ def cubic_roots(s):
     rts = np.roots([1.0 / 3.0, 1.0, 0.0, complex(s)])
     order = np.argsort(np.abs(rts - CYCLE_CENTER))
     return rts[order]
-
-
-@dataclass
-class CubicData:
-    """The cubic u^3/3 + u^2 + s with roots tracked relative to the cycle."""
-
-    s: complex
-    roots: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.s = complex(self.s)
-        self.roots = cubic_roots(self.s)
-
-    def degenerate_distance(self):
-        return min(abs(self.s), abs(self.s + 4.0 / 3.0))
 
 
 @dataclass
@@ -84,22 +74,23 @@ class Cycle:
         return self.center + self.radius * np.exp(
             1j * (math.pi + 2 * math.pi * np.asarray(t)))
 
-    def validate(self, s, margin=DEGENERATE_GUARD):
-        data = CubicData(s)
-        if data.degenerate_distance() < DEGENERATE_GUARD:
+    def validate(self, s):
+        """Require the contour to enclose exactly two roots of the cubic
+        u^3/3 + u^2 + s, away from the degenerate energies."""
+        if min(abs(s), abs(s + 4.0 / 3.0)) < DEGENERATE_GUARD:
             raise DegenerateCycleError(
                 "s = %s within guard radius of a degenerate energy" % s)
-        d = np.abs(np.abs(data.roots - self.center) - self.radius)
-        if d.min() < margin:
+        dist = np.abs(cubic_roots(s) - self.center)
+        d = np.abs(dist - self.radius)
+        if d.min() < DEGENERATE_GUARD:
             raise DegenerateCycleError(
                 "cubic root within %.3g of the contour at s = %s"
                 % (d.min(), s))
-        inside = np.abs(data.roots - self.center) < self.radius
+        inside = dist < self.radius
         if inside.sum() != 2:
             raise DegenerateCycleError(
                 "contour encloses %d roots instead of 2 at s = %s"
                 % (inside.sum(), s))
-        return data
 
 
 def _R_track(u_vals, s, R_prev=None):
@@ -129,22 +120,22 @@ def _cycle_quadrature(s, npts, cycle=None):
     return np.sum(R * du), np.sum(du / R)
 
 
-def cycle_J(s, npts=512, cycle=None, return_error=False):
+def cycle_J(s, cycle=None, return_error=False):
     """J(s) = oint R du over the cycle (trapezoid quadrature)."""
     cycle = cycle or Cycle()
     cycle.validate(s)
-    J2, _ = _cycle_quadrature(s, npts // 2, cycle)
-    J, _ = _cycle_quadrature(s, npts, cycle)
+    J2, _ = _cycle_quadrature(s, NPTS // 2, cycle)
+    J, _ = _cycle_quadrature(s, NPTS, cycle)
     err = abs(J - J2)
     return (J, err) if return_error else J
 
 
-def cycle_L(s, npts=512, cycle=None, return_error=False):
+def cycle_L(s, cycle=None, return_error=False):
     """L(s) = oint du/R over the cycle; equals 2 J'(s)."""
     cycle = cycle or Cycle()
     cycle.validate(s)
-    _, L2 = _cycle_quadrature(s, npts // 2, cycle)
-    _, L = _cycle_quadrature(s, npts, cycle)
+    _, L2 = _cycle_quadrature(s, NPTS // 2, cycle)
+    _, L = _cycle_quadrature(s, NPTS, cycle)
     err = abs(L - L2)
     return (L, err) if return_error else L
 
@@ -155,9 +146,18 @@ def rho(s):
     return 5.0 / (3.0 * s * (3.0 * s + 4.0))
 
 
-# Frobenius series of the solution vanishing at s = 0 (indicial root 1),
-# normalized to slope 1: Jhat = s - 5/96 s^2 + 385/27648 s^3 - ...
-_JHAT_SERIES = (1.0, -5.0 / 96.0, 385.0 / 27648.0, -85085.0 / 15925248.0)
+def _jhat_series():
+    """Frobenius series of the solution vanishing at s = 0 (indicial root
+    1), normalized to slope 1: Jhat = sum a_n s^n with a_1 = 1 and
+    a_{n+1} = -(36n(n-1) + 5) a_n / (48n(n+1)), from J'' + rho J / 4 = 0
+    times 36 s^2 + 48 s; Jhat = s - 5/96 s^2 + 385/27648 s^3 - ..."""
+    a = [Fraction(1)]
+    for n in range(1, 4):
+        a.append(-(36 * n * (n - 1) + 5) * a[-1] / (48 * n * (n + 1)))
+    return tuple(float(c) for c in a)
+
+
+_JHAT_SERIES = _jhat_series()
 _JHAT_BASE = -0.05
 
 
@@ -167,7 +167,7 @@ def _jhat_seed(s):
     return complex(val), complex(der)
 
 
-def _ode_continue(s0, y0, s1, rtol=1e-12, atol=1e-14):
+def _ode_continue(s0, y0, s1):
     """Continue (J, J') of J'' = -rho J / 4 along the segment s0 -> s1."""
     s0, s1 = complex(s0), complex(s1)
     if s1 == s0:
@@ -179,7 +179,7 @@ def _ode_continue(s0, y0, s1, rtol=1e-12, atol=1e-14):
         return [ds * y[1], -ds * rho(s) * y[0] / 4.0]
 
     sol = solve_ivp(fun, (0.0, 1.0), np.asarray(y0, dtype=complex),
-                    method="DOP853", rtol=rtol, atol=atol)
+                    method="DOP853", rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise MatchFailureError("period ODE continuation failed: %s"
                                 % sol.message)
@@ -188,7 +188,7 @@ def _ode_continue(s0, y0, s1, rtol=1e-12, atol=1e-14):
 
 @dataclass
 class PeriodTable:
-    """J, Jhat, and the (constant) Wronskian kappa0 on an s grid."""
+    """J, Jhat and their derivatives on an s grid."""
 
     s_grid: np.ndarray
     J: np.ndarray
@@ -200,23 +200,15 @@ class PeriodTable:
     def wronskian(self):
         return self.J * self.Jhat_prime - self.Jhat * self.J_prime
 
-    @property
-    def kappa0(self):
-        return complex(np.mean(self.wronskian))
 
-    def K(self):
-        """K(s) = Jhat/J on the grid."""
-        return self.Jhat / self.J
-
-
-def solve_J_ode(s_grid, match_tol=1e-6):
+def solve_J_ode(s_grid):
     """Continue J (matched to quadrature) and Jhat along s_grid.
 
     J is seeded from cycle quadrature at the first grid point and
     re-verified against cycle_J at every grid point (MatchFailureError
-    beyond ``match_tol``).  Jhat is seeded by its Frobenius series near
-    s = 0 (Jhat(0) = 0, Jhat'(0) = 1) and continued along a path through
-    the series base point; kappa0 is their Wronskian.
+    beyond 1e-6 max(1, |J|)).  Jhat is seeded by its Frobenius series
+    near s = 0 (Jhat(0) = 0, Jhat'(0) = 1) and continued along a path
+    through the series base point; their Wronskian is constant.
     """
     s_grid = np.asarray(s_grid, dtype=complex)
     if len(s_grid) < 2:
@@ -233,7 +225,7 @@ def solve_J_ode(s_grid, match_tol=1e-6):
             yJ = _ode_continue(s_grid[i - 1], yJ, s)
             yH = _ode_continue(s_grid[i - 1], yH, s)
         Jq = cycle_J(s)
-        if abs(yJ[0] - Jq) > match_tol * max(1.0, abs(Jq)):
+        if abs(yJ[0] - Jq) > 1e-6 * max(1.0, abs(Jq)):
             raise MatchFailureError(
                 "ODE-continued J deviates from quadrature at s = %s "
                 "(|diff| = %.3e)" % (s, abs(yJ[0] - Jq)))
@@ -313,10 +305,10 @@ class CycleState:
     K_shifted: complex
 
 
-def run_cycles(x0, s0, N, nsteps=1024, stop_arg=-math.pi + 0.1):
+def run_cycles(x0, s0, N):
     """Iterate the Poincare map N times, recording Q and K_shifted.
 
-    Terminates early when arg x_n reaches ``stop_arg`` (the last pole
+    Terminates early when arg x_n reaches -pi + 0.1 (the last pole
     array).  Q = x_n J(s_n); K_shifted = Jhat/J (s_n) + 2n/(kappa0 x0
     J(s0)) with kappa0 the Wronskian of J and Jhat.
     """
@@ -338,9 +330,9 @@ def run_cycles(x0, s0, N, nsteps=1024, stop_arg=-math.pi + 0.1):
         states.append(CycleState(
             n=n, x_n=x, s_n=s, Q=x * J,
             K_shifted=Jh / (kappa_raw * J) + 2.0 * n / (kappa0 * x0 * J0)))
-        if n == N or cmath.phase(x) <= stop_arg:
+        if n == N or cmath.phase(x) <= -math.pi + 0.1:
             break
-        x, s = poincare_step(x, s, nsteps=nsteps)
+        x, s = poincare_step(x, s)
     return states
 
 
@@ -354,13 +346,16 @@ def relative_drift(values):
 # Closed-form mu equation
 
 
+_STOK2_A = (6 + 6j) * (math.sqrt(3) + 1j)
+_STOK2_LHS = -(4 * math.sqrt(3) - 24j) / (5 * math.pi)
+
+
 def _stok2_residual(mu, N):
-    A = (6 + 6j) * (math.sqrt(3) + 1j)
-    lhs = -(4 * math.sqrt(3) - 24j) / (5 * math.pi)
     rhs = 24j * N / (5 * math.pi) + (
-        12 * cmath.log(A / mu) + 1j * math.pi - 4 * math.sqrt(3) * math.pi
-        - 6 * math.log(240 * math.pi)) / (5 * math.pi ** 2)
-    return lhs - rhs
+        12 * cmath.log(_STOK2_A / mu) + 1j * math.pi
+        - 4 * math.sqrt(3) * math.pi - 6 * math.log(240 * math.pi)
+    ) / (5 * math.pi ** 2)
+    return _STOK2_LHS - rhs
 
 
 def solve_stok2(N=None, tol=1e-10):
@@ -372,13 +367,11 @@ def solve_stok2(N=None, tol=1e-10):
     (mu, residual).  Raises NoIntegerConsistencyError when the given
     (or no) integer balances the equation.
     """
-    A = (6 + 6j) * (math.sqrt(3) + 1j)
-    lhs = -(4 * math.sqrt(3) - 24j) / (5 * math.pi)
     candidates = range(-6, 7) if N is None else [int(N)]
     for n in candidates:
-        T = (5 * math.pi ** 2 * lhs - 24j * n * math.pi - 1j * math.pi
+        T = (5 * math.pi ** 2 * _STOK2_LHS - 24j * n * math.pi - 1j * math.pi
              + 4 * math.sqrt(3) * math.pi + 6 * math.log(240 * math.pi))
-        mu = A * cmath.exp(-T / 12.0)
+        mu = _STOK2_A * cmath.exp(-T / 12.0)
         resid = abs(_stok2_residual(mu, n))
         if resid < tol:
             return mu, resid

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,15 +22,7 @@ class BorelGerm:
     coeffs: tuple = field(default_factory=tuple)
     sqrtpi: bool = False
 
-    @property
-    def alpha2(self):
-        """Doubled alpha of the series this germ Borel-transforms."""
-        return self.lead2 + 2
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def numeric_coeffs(self, prec=None):
+    def numeric_coeffs(self):
         """Coefficients as mpmath numbers, 1/sqrt(pi) factor applied."""
         fac = 1 / mp.sqrt(mp.pi) if self.sqrtpi else mp.mpf(1)
         out = []
@@ -41,16 +32,3 @@ class BorelGerm:
             else:
                 out.append(fac * mp.mpmathify(c))
         return out
-
-    def to_json(self):
-        def enc(c):
-            if isinstance(c, Fraction):
-                return [str(c.numerator), str(c.denominator)]
-            c = complex(c)
-            return [c.real, c.imag]
-
-        return json.dumps({
-            "leading_exponent": self.lead2,
-            "sqrtpi_factor": self.sqrtpi,
-            "coeffs": [enc(c) for c in self.coeffs],
-        })

@@ -20,36 +20,40 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartDeadlockError, StepFailureError
-from .series import h0_series, level_series
+from .series import EQP_COEFF, h0_coefficients, h0_series, level_series
 
 # x^{-4} coefficient of the h-equation right-hand side h'' = h + h^2/2 + ...
-EQ4 = 392.0 / 625.0
+EQ4 = float(-EQP_COEFF)
+# chart hysteresis: enter the g-chart above |h| = ENTER_G, leave below EXIT_G
+ENTER_G = 10.0
+EXIT_G = 5.0
+MAX_SWITCHES = 400
 
 
 # ---------------------------------------------------------------------------
 # Right-hand sides and charts
 
 
-def rhs_h(x, state, eq4=EQ4):
-    """(h, h') -> (h', h'') for  h'' = h + h^2/2 + eq4/x^4 - h'/x."""
+def rhs_h(x, state):
+    """(h, h') -> (h', h'') for  h'' = h + h^2/2 + EQ4/x^4 - h'/x."""
     if x == 0:
         raise ValueError("the equation is singular at x = 0")
     h, hp = state
-    return np.array([hp, h + h * h / 2 + eq4 / x**4 - hp / x])
+    return np.array([hp, h + h * h / 2 + EQ4 / x**4 - hp / x])
 
 
-def rhs_g(x, state, eq4=EQ4):
+def rhs_g(x, state):
     """(g, g') for the pole chart g = h(1 + h/3)^{-1}.
 
     Substituting h = 3g/(3-g) into the h-equation gives
-    g'' = g(3-g)/3 + g^2/2 + eq4 x^{-4}(3-g)^2/9 - g'/x - 2g'^2/(3-g),
+    g'' = g(3-g)/3 + g^2/2 + EQ4 x^{-4}(3-g)^2/9 - g'/x - 2g'^2/(3-g),
     regular at g = 3 (a double pole of h).
     """
     if x == 0:
         raise ValueError("the equation is singular at x = 0")
     g, v = state
     omg = 3.0 - g
-    vp = (g * omg / 3 + g * g / 2 + eq4 / x**4 * omg * omg / 9
+    vp = (g * omg / 3 + g * g / 2 + EQ4 / x**4 * omg * omg / 9
           - v / x - 2 * v * v / omg)
     return np.array([v, vp])
 
@@ -135,10 +139,7 @@ class SolutionTrace:
 
     @property
     def endpoint(self):
-        x, state, chart = self.samples[-1]
-        if chart == "g":
-            return x, h_from_g(state)
-        return x, np.asarray(state)
+        return self.state_h(-1)
 
     def state_h(self, i):
         x, state, chart = self.samples[i]
@@ -165,14 +166,12 @@ def arc_path(radius, theta0, theta1, max_chord=1.5):
             for k in range(1, n + 1)]
 
 
-def integrate_path(x0, state, path, chart="h", rtol=1e-12, atol=1e-14,
-                   enter_g=10.0, exit_g=5.0, method="DOP853", eq4=EQ4,
-                   max_switches=400):
+def integrate_path(x0, state, path, chart="h", rtol=1e-12, atol=1e-14):
     """Integrate along the polyline x0 -> path[0] -> ... -> path[-1].
 
     ``state`` is (h, h') in the h-chart or (g, g') in the g-chart.  The
     integration switches charts with hysteresis: enters the g-chart when
-    |h| exceeds ``enter_g`` and returns when |h| falls below ``exit_g``.
+    |h| exceeds ENTER_G and returns when |h| falls below EXIT_G.
     Returns a :class:`SolutionTrace` whose dense g-chart segments support
     pole refinement.
     """
@@ -191,21 +190,21 @@ def integrate_path(x0, state, path, chart="h", rtol=1e-12, atol=1e-14,
         while tau < 1.0:
             if chart == "h":
                 def fun(t, y, _dx=dx, _x0=x0):
-                    return _dx * rhs_h(_x0 + t * _dx, y, eq4)
+                    return _dx * rhs_h(_x0 + t * _dx, y)
 
                 def event(t, y):
-                    return abs(y[0]) - enter_g
+                    return abs(y[0]) - ENTER_G
                 event.direction = 1.0
             else:
                 def fun(t, y, _dx=dx, _x0=x0):
-                    return _dx * rhs_g(_x0 + t * _dx, y, eq4)
+                    return _dx * rhs_g(_x0 + t * _dx, y)
 
                 def event(t, y):
-                    return abs(3 * y[0] / (3 - y[0])) - exit_g
+                    return abs(3 * y[0] / (3 - y[0])) - EXIT_G
                 event.direction = -1.0
             event.terminal = True
 
-            sol = solve_ivp(fun, (tau, 1.0), state, method=method,
+            sol = solve_ivp(fun, (tau, 1.0), state, method="DOP853",
                             rtol=rtol, atol=atol, dense_output=True,
                             events=event)
             if sol.status == -1:
@@ -219,10 +218,10 @@ def integrate_path(x0, state, path, chart="h", rtol=1e-12, atol=1e-14,
             x_here = x0 + t_end * dx
             if sol.status == 1:  # chart event
                 switches += 1
-                if switches > max_switches:
+                if switches > MAX_SWITCHES:
                     raise ChartDeadlockError(
                         "more than %d chart switches; integration is "
-                        "thrashing near x = %s" % (max_switches, x_here))
+                        "thrashing near x = %s" % (MAX_SWITCHES, x_here))
                 if abs(t_end - tau) == 0.0 and switches > 5:
                     raise ChartDeadlockError(
                         "chart switch makes no progress at x = %s" % x_here)
@@ -238,7 +237,7 @@ def integrate_path(x0, state, path, chart="h", rtol=1e-12, atol=1e-14,
     return trace
 
 
-def detect_poles(trace, tol=1e-10, eq4=EQ4):
+def detect_poles(trace, tol=1e-10):
     """Refine g = 3 crossings of a trace's g-chart segments to poles of h.
 
     Newton iteration on g'(x) = 0 in complex x (a simple zero at the pole
@@ -265,7 +264,7 @@ def detect_poles(trace, tol=1e-10, eq4=EQ4):
     for _, x_c, state in candidates:
         if any(abs(x_c - p.location) < 1.0 for p in found):
             continue
-        rec = _refine_pole(x_c, state, tol, eq4)
+        rec = _refine_pole(x_c, state, tol)
         if rec is not None and all(abs(rec.location - p.location) > 1.0
                                    for p in found):
             found.append(rec)
@@ -274,7 +273,7 @@ def detect_poles(trace, tol=1e-10, eq4=EQ4):
     return found
 
 
-def _refine_pole(x_c, state, tol, eq4, max_iter=40):
+def _refine_pole(x_c, state, tol):
     """Newton on g'(x) = 0 from a nearby chart state.
 
     Steps are capped and each move is integrated with guard events: the
@@ -292,9 +291,9 @@ def _refine_pole(x_c, state, tol, eq4, max_iter=40):
         return abs(3 * y[0] / (3 - y[0])) - 4.0
     escaped.terminal = True
 
-    for _ in range(max_iter):
+    for _ in range(40):
         g, v = state
-        vp = rhs_g(x_c, state, eq4)[1]
+        vp = rhs_g(x_c, state)[1]
         if vp == 0:
             return None
         step = -v / vp
@@ -310,7 +309,7 @@ def _refine_pole(x_c, state, tol, eq4, max_iter=40):
             return None
         # tolerances are kept above the floating-point noise floor of the
         # 0/0 ratio v^2/(3-g) near the pole, or the stepper stalls
-        sol = solve_ivp(lambda t, y: step * rhs_g(x_c + t * step, y, eq4),
+        sol = solve_ivp(lambda t, y: step * rhs_g(x_c + t * step, y),
                         (0.0, 1.0), state, method="DOP853",
                         rtol=1e-9, atol=1e-11, events=(runaway, escaped))
         if sol.status != 0:
@@ -323,19 +322,21 @@ def _refine_pole(x_c, state, tol, eq4, max_iter=40):
 # ---------------------------------------------------------------------------
 # Far-field seeding
 
+FAR_FIELD_LEVELS = 14
 
-def far_field_init(C, x0, N=None, K=14, tol=1e-8, eq4=None):
+
+def far_field_init(C, x0, tol=1e-8):
     """Seed (h, h') at large |x0| from the truncated transseries.
 
-    Uses the exact series coefficients at optimal-ish truncation; returns
-    (state, err_est) where err_est is the magnitude of the first omitted
-    power term plus the first omitted exponential level.  Warns when the
+    Uses the exact series coefficients at optimal-ish truncation and
+    FAR_FIELD_LEVELS exponential levels; returns (state, err_est) where
+    err_est is the magnitude of the first omitted power term plus the
+    first omitted exponential level.  Warns when the
     estimate exceeds ``tol``; superseded by the Borel-summed evaluators
     when those are affordable.
     """
     x0 = complex(x0)
-    if N is None:
-        N = int(min(max(abs(x0), 8), 60))
+    N = int(min(max(abs(x0), 8), 60))
     if N % 2:
         N -= 1
     with mp.workdps(40):
@@ -343,16 +344,18 @@ def far_field_init(C, x0, N=None, K=14, tol=1e-8, eq4=None):
         s0 = h0_series(N)
         h = s0(xm)
         hp = s0.differentiate()(xm)
-        tail = h0_series(N + 2).coefficient_of(-2 * (N + 2))
+        tail = h0_coefficients(N + 2)[-1]
         err = abs(mp.mpf(tail.numerator) / tail.denominator) * abs(xm) ** (
             -(N + 2))
         # optimal-truncation floor: the least term of the divergent series
-        # is reached near order |x| and has size ~ e^{-|x|}
-        err += float(2 * mp.pi * mp.mpf("0.1743") * mp.exp(-abs(xm)))
+        # is reached near order |x| and has size ~ 2 pi S e^{-|x|}, with
+        # S = sqrt(6/(5 pi)) / (2 sqrt(pi)) the Borel singularity constant
+        S = mp.sqrt(mp.mpf(6) / (5 * mp.pi)) / (2 * mp.sqrt(mp.pi))
+        err += float(2 * mp.pi * S * mp.exp(-abs(xm)))
         if C != 0:
             Cm = mp.mpc(C)
             sizes = []
-            for k in range(1, K + 1):
+            for k in range(1, FAR_FIELD_LEVELS + 1):
                 sk = level_series(k, min(N + 20, 60))
                 ek = mp.exp(-k * xm)
                 term = Cm**k * ek * sk(xm)
@@ -376,16 +379,16 @@ def far_field_init(C, x0, N=None, K=14, tol=1e-8, eq4=None):
 # Global continuation of the tritronquee
 
 
-def continue_around(R_seed=30.0, R_target=20.0, r_dip=5.0, r_dip_cw=8.0,
-                    rtol=1e-12, atol=1e-14):
+def continue_around(R_target=20.0):
     """Continue the tritronquee from arg x = pi/4 both ways around.
 
-    Counterclockwise to arg x = 3pi/2 (pole-free sector; the path dips to
-    radius ``r_dip`` while passing arg x = pi, where errors in the
-    exponentially growing direction would otherwise be amplified by
-    e^{|x|}), and clockwise to arg x = -pi through the pole sector using
-    chart switching.  Returns (trace_ccw, trace_cw).
+    Seeded at radius 30, counterclockwise to arg x = 3pi/2 (pole-free
+    sector; the path dips to radius 5 while passing arg x = pi, where
+    errors in the exponentially growing direction would otherwise be
+    amplified by e^{|x|}), and clockwise to arg x = -pi through the pole
+    sector at radius 8 using chart switching.  Returns (trace_ccw, trace_cw).
     """
+    R_seed, r_dip, r_dip_cw = 30.0, 5.0, 8.0
     seed, _ = far_field_init(0.0, R_seed * cmath.exp(1j * cmath.pi / 4))
     x_seed = R_seed * cmath.exp(1j * cmath.pi / 4)
 
@@ -394,13 +397,13 @@ def continue_around(R_seed=30.0, R_target=20.0, r_dip=5.0, r_dip_cw=8.0,
                 + arc_path(r_dip, cmath.pi / 2, 3 * cmath.pi / 2,
                            max_chord=0.8)
                 + [-1j * R_target])
-    trace_ccw = integrate_path(x_seed, seed, path_ccw, rtol=rtol, atol=atol)
+    trace_ccw = integrate_path(x_seed, seed, path_ccw)
 
     path_cw = (arc_path(R_seed, cmath.pi / 4, -cmath.pi / 2)
                + [-1j * r_dip_cw]
                + arc_path(r_dip_cw, -cmath.pi / 2, -cmath.pi, max_chord=0.8)
                + [-R_target])
-    trace_cw = integrate_path(x_seed, seed, path_cw, rtol=rtol, atol=atol)
+    trace_cw = integrate_path(x_seed, seed, path_cw)
     detect_poles(trace_cw)
     return trace_ccw, trace_cw
 
@@ -419,7 +422,7 @@ def single_valuedness_residual(trace_ccw, trace_cw):
     return s1[0] + s2[0] + 2 - 8.0 / (25 * r1 * r1)
 
 
-def locate_pole(n, C=1.0, rtol=1e-11, atol=1e-13):
+def locate_pole(n, C=1.0):
     """Detect and refine pole n of the first array, seeded far afield.
 
     Returns (predicted, record): the four-order asymptotic prediction and
@@ -431,7 +434,7 @@ def locate_pole(n, C=1.0, rtol=1e-11, atol=1e-13):
     x0 = pred + 4.0 + 0.3j
     state, _ = far_field_init(C, x0)
     trace = integrate_path(x0, state, [pred - 1.0 + 0.3j],
-                           rtol=rtol, atol=atol)
+                           rtol=1e-11, atol=1e-13)
     poles = detect_poles(trace)
     if not poles:
         raise ChartDeadlockError("no pole detected near prediction for "

@@ -18,10 +18,8 @@ x^{-k/2} prefactors need no special casing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -45,26 +43,9 @@ class FormalSeries:
     coeffs: tuple = field(default_factory=tuple)
     step2: int = 2
 
-    @property
-    def leading_exponent(self):
-        return Fraction(self.lead2, 2)
-
-    def __len__(self):
-        return len(self.coeffs)
-
     def exponent2(self, i):
         """Doubled exponent of term i."""
         return self.lead2 - i * self.step2
-
-    def coefficient_of(self, exp2):
-        """Coefficient of x^{exp2/2}, or 0 if absent."""
-        num = self.lead2 - exp2
-        if num % self.step2:
-            return Fraction(0)
-        i = num // self.step2
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
 
     def __call__(self, x):
         """Evaluate with mpmath at complex x (Horner in x^{-step2/2})."""
@@ -86,46 +67,9 @@ class FormalSeries:
             self.step2,
         )
 
-    def multiply(self, other, nmax=None):
-        """Truncated product; both factors must share step2."""
-        if self.step2 != other.step2:
-            raise ValueError("mismatched exponent lattices")
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        if nmax is not None:
-            n = min(n, nmax)
-        out = [Fraction(0)] * max(n, 0)
-        for i, a in enumerate(self.coeffs):
-            if i >= n:
-                break
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                out[i + j] += a * b
-        return FormalSeries(self.lead2 + other.lead2, tuple(out), self.step2)
-
-    def add(self, other):
-        if self.step2 != other.step2:
-            raise ValueError("mismatched exponent lattices")
-        lead2 = max(self.lead2, other.lead2)
-        hi = min(self.exponent2(len(self) - 1) if self.coeffs else lead2,
-                 other.exponent2(len(other) - 1) if other.coeffs else lead2)
-        n = (lead2 - hi) // self.step2 + 1
-        out = []
-        for i in range(n):
-            e2 = lead2 - i * self.step2
-            out.append(self.coefficient_of(e2) + other.coefficient_of(e2))
-        return FormalSeries(lead2, tuple(out), self.step2)
-
-    def scale(self, c):
-        return FormalSeries(self.lead2, tuple(c * a for a in self.coeffs),
-                            self.step2)
-
     def shift(self, exp2):
         """Multiply by x^{exp2/2}."""
         return FormalSeries(self.lead2 + exp2, self.coeffs, self.step2)
-
-    def to_json(self):
-        return json.dumps(series_to_dict(self))
 
 
 def _to_mp(c):
@@ -136,19 +80,13 @@ def _to_mp(c):
     return mp.mpmathify(c)
 
 
-def _coeff_json(c):
-    if isinstance(c, Fraction):
-        return [str(c.numerator), str(c.denominator)]
-    c = complex(c)
-    return [c.real, c.imag]
+# The coefficients do not depend on the truncation order, so one exact
+# table per a4 (per level and a4) is kept, at the longest order asked for
+# so far, and shorter orders get its leading slice.
+_H0_TABLES = {}
+_LEVEL_TABLES = {}
 
 
-def series_to_dict(s):
-    return {"leading_exponent": s.lead2,
-            "coeffs": [_coeff_json(c) for c in s.coeffs]}
-
-
-@lru_cache(maxsize=None)
 def h0_coefficients(N, eqp_coeff=EQP_COEFF):
     """Exact c_4..c_N of the algebraic formal solution (c_k = 0 for odd k).
 
@@ -158,6 +96,13 @@ def h0_coefficients(N, eqp_coeff=EQP_COEFF):
     """
     if N < 4:
         raise ValueError("need N >= 4")
+    a4 = Fraction(eqp_coeff)
+    if len(_H0_TABLES.get(a4, ())) < N - 3:
+        _H0_TABLES[a4] = _h0_table(N, a4)
+    return _H0_TABLES[a4][:N - 3]
+
+
+def _h0_table(N, eqp_coeff):
     c = {k: Fraction(0) for k in range(N + 1)}
     for n in range(4, N + 1):
         conv = sum((c[i] * c[n - i] for i in range(4, n - 3)), Fraction(0))
@@ -173,7 +118,6 @@ def h0_series(N, eqp_coeff=EQP_COEFF):
     return FormalSeries(-8, h0_coefficients(N, eqp_coeff))
 
 
-@lru_cache(maxsize=None)
 def transseries_level(k, N, eqp_coeff=EQP_COEFF):
     """Exact integer-power series t_k to order x^{-N} (t_k = x^{k/2} h_k).
 
@@ -190,6 +134,14 @@ def transseries_level(k, N, eqp_coeff=EQP_COEFF):
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
+    key = (k, Fraction(eqp_coeff))
+    if len(_LEVEL_TABLES.get(key, ())) < N + 1:
+        _LEVEL_TABLES[key] = _level_table(k, N, key[1])
+    return FormalSeries(0, _LEVEL_TABLES[key][:N + 1])
+
+
+def _level_table(k, N, eqp_coeff):
+    """Coefficients a_0..a_N of t_k by the recurrence above."""
     c = {4 + i: v for i, v in enumerate(h0_coefficients(N + 4, eqp_coeff)) if v}
     rhs = [Fraction(0)] * (N + 3)
     for i in range(1, k):
@@ -233,7 +185,7 @@ def transseries_level(k, N, eqp_coeff=EQP_COEFF):
             known = lhs_known(n, n - 1)
             r = rhs[n] if n < len(rhs) else Fraction(0)
             a[n] = (r - known) / (k * k - 1)
-    return FormalSeries(0, tuple(a))
+    return tuple(a)
 
 
 def level_series(k, N, eqp_coeff=EQP_COEFF):

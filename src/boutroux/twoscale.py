@@ -244,17 +244,16 @@ def region_ok(xi, chart, epsilon=EPSILON):
     return abs(xi - excl) > epsilon and abs(xi) < 1 / epsilon
 
 
-def eval_two_scale(x, C, m=1, chart=None, epsilon=EPSILON, delta=DELTA,
-                   radius=RADIUS):
+def eval_two_scale(x, C, m=1, chart=None, epsilon=EPSILON):
     """Evaluate sum_{j<=m} F_j(xi)/x^j (or the G-chart analog).
 
     ``chart`` is "F", "G", or None for automatic selection by maximal
     distance of xi to the chart's excluded point (12 for F, -12 for G).
-    Returns (value, chart).  Raises OutsideRegionError when x is inside
-    radius or neither chart's region test passes.
+    Returns (value, chart).  Raises OutsideRegionError when |x| is below
+    RADIUS (1 - DELTA) or neither chart's region test passes.
     """
     x = mp.mpc(x)
-    if abs(x) < radius * (1 - delta):
+    if abs(x) < RADIUS * (1 - DELTA):
         raise OutsideRegionError("|x| = %.3f below the validity radius"
                                  % abs(x))
     xi = xi_of(x, C)

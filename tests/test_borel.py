@@ -20,7 +20,6 @@ from boutroux.borel import (
     solve_H0_convolution,
     sum_transseries,
     sum_transseries_derivative,
-    toy_convolution_fixture,
     toy_geometric_exact,
     toy_geometric_germ,
     toy_halfint_exact,
@@ -55,13 +54,6 @@ class TestConvolutionEquation:
         assert g.coeffs[0] == Fraction(-196, 1875)   # b_3 = c_4 / 3!
         assert g.coeffs[1] == 0
         assert g.coeffs[2] == Fraction(-784, 9375)   # b_5 = (4/5) b_3
-
-    def test_toy_fixture_low_orders(self):
-        """(1-p)Y = p + Y*Y by hand: y_3 = 1 + 1/6, y_4 = y_3 + 2/4!."""
-        y = toy_convolution_fixture(5)
-        assert y[1] == 1 and y[2] == 1
-        assert y[3] == Fraction(7, 6)
-        assert y[4] == Fraction(4, 3)
 
 
 class TestLaplaceRay:
@@ -245,6 +237,12 @@ class TestTransseriesSum:
         # xi ~ 36 lies beyond |xi| = 12: levels grow from the start
         with pytest.raises(NonConvergentSumError, match="growing"):
             sum_transseries(mp.mpf(2.5e6), mp.mpf(10), phi=-mp.pi / 4)
+
+    def test_derivative_growing_levels_raise(self):
+        # the derivative shares the level loop and so its growth check
+        with pytest.raises(NonConvergentSumError, match="growing"):
+            sum_transseries_derivative(mp.mpf(2.5e6), mp.mpf(10),
+                                       phi=-mp.pi / 4)
 
     def test_derivative_consistency(self):
         C = mp.mpf("0.4")
