@@ -5,15 +5,21 @@ equation
 
     (p^2 - 1) H = -(a4/6) p^3 + int_0^p s H(s) ds + (1/2) H * H
 
-whose Taylor solution is generated here in exact rationals and continued
-beyond |p| = 1 with near-diagonal Pade approximants built at high precision.
-Laplace integrals along rotated rays then produce actual tronquee solutions,
-and Hankel-type loop integrals around the cuts measure the Stokes jump.
+whose Taylor solution is generated here in exact rationals.  Germs are
+continued beyond |p| = 1 by near-diagonal Pade approximants: the exact
+coefficients are rounded once to SOLVE_DIGITS-digit ``decimal`` numbers,
+the Toeplitz system of the denominator is solved by Gaussian elimination
+with partial pivoting, and both polynomials are rounded to PADE_DPS-digit
+mpf, at which they are evaluated.  Laplace integrals along rotated rays
+then produce actual tronquee solutions, and Hankel-type loop integrals
+around the cuts measure the Stokes jump.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -30,10 +36,16 @@ from .errors import (
 from .germ import BorelGerm
 from .series import EQP_COEFF, borel_transform, level_series
 
-# Precision at which Pade tables are built.  Empirically a 200-coefficient
-# germ at 60 digits continues a square-root branch point to |p| ~ 3 on a
-# 45-degree ray with error below 1e-22, far under the Laplace weight there.
+# Precision at which Pade tables are stored and evaluated.  Empirically a
+# 200-coefficient germ at 60 digits continues a square-root branch point to
+# |p| ~ 3 on a 45-degree ray with error below 1e-22, far under the Laplace
+# weight there.
 PADE_DPS = 60
+# Digits of the decimal solve behind a table.  The Toeplitz systems of the
+# 200-coefficient germs lose up to 60 digits to conditioning: a solve at
+# PADE_DPS + 3 digits leaves the tables off by 2e-5 at |p| = 12 on the ray
+# arg p = pi/4, one at PADE_DPS + 40 by 1e-30 (by 2e-26 at arg p = 0.05).
+SOLVE_DIGITS = PADE_DPS + 40
 DEFAULT_GERM_ORDER = 200
 # the Pade table behind the error estimate leaves out this many of the
 # last coefficients
@@ -47,7 +59,7 @@ EXTRAPOLATION_ORDER = 12
 
 
 @lru_cache(maxsize=None)
-def solve_H0_convolution(N=DEFAULT_GERM_ORDER, eqp_coeff=EQP_COEFF):
+def solve_H0_convolution(N=DEFAULT_GERM_ORDER):
     """Solve the convolution equation for H0 = B[h0] term by term.
 
     Matching p^n coefficients gives  b_n = b_{n-2} - RHS_n  with
@@ -60,7 +72,7 @@ def solve_H0_convolution(N=DEFAULT_GERM_ORDER, eqp_coeff=EQP_COEFF):
     for n in range(3, N + 1):
         rhs = Fraction(0)
         if n == 3:
-            rhs -= Fraction(eqp_coeff) / 6
+            rhs -= EQP_COEFF / 6
         if n >= 2:
             rhs += b[n - 2] * Fraction(1, n)
         for i in range(3, n - 3):
@@ -93,24 +105,38 @@ class GermEvaluator:
 
     def __init__(self, germ: BorelGerm):
         self.germ = germ
-        with mp.workdps(PADE_DPS):
-            cs = germ.numeric_coeffs()
-            self._pq = self._build(cs)
-            self._pq_check = self._build(cs[:-CHECK_DROP]) \
+        ctx = decimal.Context(prec=SOLVE_DIGITS)
+        cs = [ctx.divide(Decimal(c.numerator), Decimal(c.denominator))
+              for c in map(Fraction, germ.coeffs)]
+        scale = Decimal(1)
+        if germ.sqrtpi:
+            with mp.workdps(SOLVE_DIGITS + 10):
+                scale = Decimal(str(1 / mp.sqrt(mp.pi)))
+        with decimal.localcontext(ctx):
+            self._pq = self._build(cs, scale)
+            self._pq_check = self._build(cs[:-CHECK_DROP], scale) \
                 if len(cs) > CHECK_DROP + 10 else None
 
     @staticmethod
-    def _build(cs):
+    def _build(cs, scale):
+        """Near-diagonal Pade table of the Taylor data ``cs`` (Decimals, in
+        the caller's decimal context), numerator times ``scale``: both
+        polynomials rounded to PADE_DPS, highest degree first."""
+        n = len(cs) - 1
+        L = n - n // 2
         # degenerate Pade tables (exactly rational germs) make the linear
         # system singular; back off the denominator degree until it solves
-        n = len(cs) - 1
         for m in range(n // 2, 0, -1):
-            try:
-                p, q = mp.pade(cs[:n - n // 2 + m + 1], n - n // 2, m)
-                return p[::-1], q[::-1]
-            except ZeroDivisionError:
-                continue
-        return cs, [mp.mpf(1)]
+            q = _toeplitz_solve(cs, L, m)
+            if q is not None:
+                p = [sum(q[j] * cs[i - j] for j in range(min(m, i) + 1))
+                     for i in range(L + 1)]
+                break
+        else:
+            p, q = cs, [Decimal(1)]  # the Taylor polynomial
+        with mp.workdps(PADE_DPS):
+            return ([mp.mpf(str(c * scale)) for c in reversed(p)],
+                    [mp.mpf(str(c)) for c in reversed(q)])
 
     def __call__(self, p):
         with mp.workdps(PADE_DPS):
@@ -141,6 +167,34 @@ class GermEvaluator:
                 "%.3e on ray arg p = %.4f"
                 % (float(worst), float(tol), float(phi)),
                 err_est=worst)
+
+
+def _toeplitz_solve(cs, L, m):
+    """Denominator 1, q_1..q_m of the [L/m] Pade approximant of ``cs``.
+
+    Solves sum_{j=1}^m cs[L+i-j] q_j = -cs[L+i], i = 1..m, by Gaussian
+    elimination with partial pivoting in the current decimal context;
+    None when a pivot is at most ||A||_1 10^{-(digits-10)}.
+    """
+    rows = [[cs[L + i - j] for j in range(1, m + 1)] + [-cs[L + i]]
+            for i in range(1, m + 1)]
+    norm = max(sum(abs(r[j]) for r in rows) for j in range(m))
+    tol = norm.scaleb(10 - decimal.getcontext().prec)
+    for j in range(m):
+        k = max(range(j, m), key=lambda r: abs(rows[r][j]))
+        if abs(rows[k][j]) <= tol:
+            return None
+        rows[j], rows[k] = rows[k], rows[j]
+        pivot = rows[j]
+        for r in rows[j + 1:]:
+            f = r[j] / pivot[j]
+            if f:
+                r[j + 1:] = [a - f * b for a, b in zip(r[j + 1:], pivot[j + 1:])]
+    q = [Decimal(0)] * m
+    for j in reversed(range(m)):
+        r = rows[j]
+        q[j] = (r[m] - sum(r[k] * q[k] for k in range(j + 1, m))) / r[j]
+    return [Decimal(1)] + q
 
 
 @lru_cache(maxsize=None)
@@ -510,20 +564,20 @@ def _sum_levels(C, x, phi, tol, deriv):
 # Toy fixtures with closed forms, for validating the machinery
 
 
-def toy_geometric_germ(N=DEFAULT_GERM_ORDER):
+def toy_geometric_germ():
     """Germ of 1/(1+p): Laplace sum is exactly e^x E_1(x)."""
-    return BorelGerm(lead2=0,
-                     coeffs=tuple(Fraction((-1) ** n) for n in range(N)))
+    return BorelGerm(lead2=0, coeffs=tuple(
+        Fraction((-1) ** n) for n in range(DEFAULT_GERM_ORDER)))
 
 
 def toy_geometric_exact(x):
     return mp.exp(x) * mp.e1(x)
 
 
-def toy_halfint_germ(N=DEFAULT_GERM_ORDER):
+def toy_halfint_germ():
     """Germ of p^{-1/2}/(1+p): Laplace sum is pi e^x erfc(sqrt(x))."""
-    return BorelGerm(lead2=-1,
-                     coeffs=tuple(Fraction((-1) ** n) for n in range(N)))
+    return BorelGerm(lead2=-1, coeffs=tuple(
+        Fraction((-1) ** n) for n in range(DEFAULT_GERM_ORDER)))
 
 
 def toy_halfint_exact(x):

@@ -67,7 +67,6 @@ class Cycle:
 
     center: complex = CYCLE_CENTER
     radius: float = CYCLE_RADIUS
-    base: complex = U_BASE
 
     def point(self, t):
         """Contour point at parameter t in [0, 1), starting at the base."""
@@ -287,8 +286,7 @@ def poincare_step(x_n, s_n, nsteps=1024, cycle=None, source=True,
     except CycleBreakdownError:
         if _rerouted:
             raise
-        shifted = Cycle(center=cycle.center + 0.15j, radius=cycle.radius,
-                        base=cycle.base)
+        shifted = Cycle(center=cycle.center + 0.15j, radius=cycle.radius)
         return poincare_step(x_n, s_n, nsteps=nsteps, cycle=shifted,
                              source=source, _rerouted=True)
     return complex(y[0]), complex(y[1])
@@ -358,7 +356,7 @@ def _stok2_residual(mu, N):
     return _STOK2_LHS - rhs
 
 
-def solve_stok2(N=None, tol=1e-10):
+def solve_stok2(N=None):
     """Solve the closed-form mu equation for integer N.
 
     The equation determines mu up to the branch of the logarithm; the
@@ -373,7 +371,7 @@ def solve_stok2(N=None, tol=1e-10):
              + 4 * math.sqrt(3) * math.pi + 6 * math.log(240 * math.pi))
         mu = _STOK2_A * cmath.exp(-T / 12.0)
         resid = abs(_stok2_residual(mu, n))
-        if resid < tol:
+        if resid < 1e-10:
             return mu, resid
     raise NoIntegerConsistencyError(
         "no integer branch balances the mu equation (N = %s)" % N)

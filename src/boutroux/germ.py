@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-import mpmath as mp
 
 
 @dataclass(frozen=True)
@@ -21,14 +18,3 @@ class BorelGerm:
     lead2: int
     coeffs: tuple = field(default_factory=tuple)
     sqrtpi: bool = False
-
-    def numeric_coeffs(self):
-        """Coefficients as mpmath numbers, 1/sqrt(pi) factor applied."""
-        fac = 1 / mp.sqrt(mp.pi) if self.sqrtpi else mp.mpf(1)
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                out.append(fac * mp.mpf(c.numerator) / mp.mpf(c.denominator))
-            else:
-                out.append(fac * mp.mpmathify(c))
-        return out

@@ -166,17 +166,18 @@ def arc_path(radius, theta0, theta1, max_chord=1.5):
             for k in range(1, n + 1)]
 
 
-def integrate_path(x0, state, path, chart="h", rtol=1e-12, atol=1e-14):
+def integrate_path(x0, state, path, rtol=1e-12, atol=1e-14):
     """Integrate along the polyline x0 -> path[0] -> ... -> path[-1].
 
-    ``state`` is (h, h') in the h-chart or (g, g') in the g-chart.  The
-    integration switches charts with hysteresis: enters the g-chart when
-    |h| exceeds ENTER_G and returns when |h| falls below EXIT_G.
+    ``state`` is (h, h') in the h-chart.  The integration switches charts
+    with hysteresis: enters the g-chart when |h| exceeds ENTER_G and
+    returns when |h| falls below EXIT_G.
     Returns a :class:`SolutionTrace` whose dense g-chart segments support
     pole refinement.
     """
     state = np.asarray(state, dtype=complex)
     x0 = complex(x0)
+    chart = "h"
     trace = SolutionTrace()
     trace.samples.append((x0, state.copy(), chart))
     switches = 0
@@ -325,14 +326,14 @@ def _refine_pole(x_c, state, tol):
 FAR_FIELD_LEVELS = 14
 
 
-def far_field_init(C, x0, tol=1e-8):
+def far_field_init(C, x0):
     """Seed (h, h') at large |x0| from the truncated transseries.
 
     Uses the exact series coefficients at optimal-ish truncation and
     FAR_FIELD_LEVELS exponential levels; returns (state, err_est) where
     err_est is the magnitude of the first omitted power term plus the
     first omitted exponential level.  Warns when the
-    estimate exceeds ``tol``; superseded by the Borel-summed evaluators
+    estimate exceeds 1e-8; superseded by the Borel-summed evaluators
     when those are affordable.
     """
     x0 = complex(x0)
@@ -369,9 +370,9 @@ def far_field_init(C, x0, tol=1e-8):
             elif sizes:
                 err += float(sizes[-1])
         state = np.array([complex(h), complex(hp)])
-    if err > tol:
-        warnings.warn("far-field seed error estimate %.2e exceeds %.2e; "
-                      "move the seed outward" % (float(err), tol))
+    if err > 1e-8:
+        warnings.warn("far-field seed error estimate %.2e exceeds 1.00e-08; "
+                      "move the seed outward" % float(err))
     return state, float(err)
 
 

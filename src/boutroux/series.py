@@ -33,24 +33,23 @@ EQP_COEFF = Fraction(-392, 625)
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Truncated series sum_i coeffs[i] * x^{(lead2 - i*step2)/2}.
+    """Truncated series sum_i coeffs[i] * x^{lead2/2 - i}.
 
-    Exponents descend from ``lead2/2`` in steps of ``step2/2``; coefficients
-    are exact ``Fraction`` or ``complex``.
+    Exponents descend from ``lead2/2`` in integer steps; coefficients are
+    exact ``Fraction`` or ``complex``.
     """
 
     lead2: int
     coeffs: tuple = field(default_factory=tuple)
-    step2: int = 2
 
     def exponent2(self, i):
         """Doubled exponent of term i."""
-        return self.lead2 - i * self.step2
+        return self.lead2 - 2 * i
 
     def __call__(self, x):
-        """Evaluate with mpmath at complex x (Horner in x^{-step2/2})."""
+        """Evaluate with mpmath at complex x (Horner in 1/x)."""
         x = mp.mpmathify(x)
-        u = x ** (-mp.mpf(self.step2) / 2)
+        u = 1 / x
         acc = mp.mpf(0)
         for c in reversed(self.coeffs):
             acc = acc * u + _to_mp(c)
@@ -64,12 +63,11 @@ class FormalSeries:
                 c * Fraction(self.exponent2(i), 2)
                 for i, c in enumerate(self.coeffs)
             ),
-            self.step2,
         )
 
     def shift(self, exp2):
         """Multiply by x^{exp2/2}."""
-        return FormalSeries(self.lead2 + exp2, self.coeffs, self.step2)
+        return FormalSeries(self.lead2 + exp2, self.coeffs)
 
 
 def _to_mp(c):
@@ -113,9 +111,9 @@ def _h0_table(N, eqp_coeff):
     return tuple(c[k] for k in range(4, N + 1))
 
 
-def h0_series(N, eqp_coeff=EQP_COEFF):
+def h0_series(N):
     """The formal solution h0 truncated at order x^{-N}, exact rationals."""
-    return FormalSeries(-8, h0_coefficients(N, eqp_coeff))
+    return FormalSeries(-8, h0_coefficients(N))
 
 
 def transseries_level(k, N, eqp_coeff=EQP_COEFF):
@@ -188,9 +186,9 @@ def _level_table(k, N, eqp_coeff):
     return tuple(a)
 
 
-def level_series(k, N, eqp_coeff=EQP_COEFF):
+def level_series(k, N):
     """h_k = x^{-k/2} t_k as a half-integer-exponent series."""
-    return transseries_level(k, N, eqp_coeff).shift(-k)
+    return transseries_level(k, N).shift(-k)
 
 
 def borel_transform(s: FormalSeries, alpha=None) -> BorelGerm:
@@ -201,8 +199,6 @@ def borel_transform(s: FormalSeries, alpha=None) -> BorelGerm:
     half-integer alpha the rational part of 1/Gamma is kept exact and the
     common 1/sqrt(pi) factor is recorded on the germ.
     """
-    if s.step2 != 2:
-        raise ValueError("series must live on an integer-step lattice")
     alpha2 = -s.lead2 if alpha is None else int(2 * Fraction(alpha))
     if alpha2 != -s.lead2:
         raise ValueError("alpha must match the leading exponent of the series")

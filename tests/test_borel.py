@@ -56,6 +56,40 @@ class TestConvolutionEquation:
         assert g.coeffs[2] == Fraction(-784, 9375)   # b_5 = (4/5) b_3
 
 
+class TestPadeTables:
+    def test_pade_table_is_exact(self):
+        """The table equals mp.pade at 200 digits on the same exact data,
+        and does not depend on the ambient precision."""
+        pts = [2 * mp.expj(mp.pi / 4), 3 * mp.expj(-mp.pi / 8),
+               5 * mp.expj(mp.pi / 4), mp.mpf("-0.5"), 2 * mp.expj(0.05)]
+        for germ in (solve_H0_convolution(80),
+                     borel_transform(level_series(1, 80))):
+            ev = borel.GermEvaluator(germ)
+            L, M = len(ev._pq[0]) - 1, len(ev._pq[1]) - 1
+            with mp.workdps(200):
+                fac = 1 / mp.sqrt(mp.pi) if germ.sqrtpi else 1
+                cs = [fac * mp.mpf(c.numerator) / c.denominator
+                      for c in germ.coeffs[:L + M + 1]]
+                p, q = mp.pade(cs, L, M)
+                for z in pts:
+                    ref = mp.polyval(p[::-1], z) / mp.polyval(q[::-1], z)
+                    assert abs(ev(z) - ref) <= 1e-45 * abs(ref)
+            tables = []
+            for dps in (15, 50):
+                with mp.workdps(dps):
+                    e = borel.GermEvaluator(germ)
+                tables.append((e._pq, e._pq_check))
+            assert tables[0] == tables[1]
+
+    def test_taylor_fallback_order(self):
+        """When no denominator degree solves, the table is the Taylor
+        polynomial, highest degree first."""
+        from boutroux.germ import BorelGerm
+
+        ev = borel.GermEvaluator(BorelGerm(0, (1, 2) + (0,) * 38))
+        assert abs(ev(mp.mpf("0.5")) - 2) < 1e-50
+
+
 class TestLaplaceRay:
     def setup_method(self):
         self._dps = mp.mp.dps
