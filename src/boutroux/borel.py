@@ -9,10 +9,12 @@ whose Taylor solution is generated here in exact rationals.  Germs are
 continued beyond |p| = 1 by near-diagonal Pade approximants: the exact
 coefficients are rounded once to SOLVE_DIGITS-digit ``decimal`` numbers,
 the Toeplitz system of the denominator is solved by Gaussian elimination
-with partial pivoting, and both polynomials are rounded to PADE_DPS-digit
-mpf, at which they are evaluated.  Laplace integrals along rotated rays
-then produce actual tronquee solutions, and Hankel-type loop integrals
-around the cuts measure the Stokes jump.
+with partial pivoting, and both polynomials are rounded once to Python
+integers, fixed-point numbers with FIX_BITS fractional bits.  A table is
+evaluated by Horner's rule on those integers; only the final division of
+numerator by denominator runs in mpmath, at PADE_DPS digits.  Laplace
+integrals along rotated rays then produce actual tronquee solutions, and
+Hankel-type loop integrals around the cuts measure the Stokes jump.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import ceil, factorial, frexp, log2
 
 import mpmath as mp
+from mpmath.libmp import fzero, to_fixed
 
 from .errors import (
     NoConvergenceError,
@@ -36,11 +39,17 @@ from .errors import (
 from .germ import BorelGerm
 from .series import EQP_COEFF, borel_transform, level_series
 
-# Precision at which Pade tables are stored and evaluated.  Empirically a
-# 200-coefficient germ at 60 digits continues a square-root branch point to
-# |p| ~ 3 on a 45-degree ray with error below 1e-22, far under the Laplace
-# weight there.
+# Precision of a Pade table value: the final division of numerator by
+# denominator and the guard run at PADE_DPS digits.  Empirically a
+# 200-coefficient germ continues a square-root branch point to |p| ~ 3 on
+# a 45-degree ray with error below 1e-22, far under the Laplace weight
+# there.
 PADE_DPS = 60
+# Fractional bits of the fixed-point tables: PADE_DPS digits plus a 40-bit
+# margin for the growth of Horner's rounding errors with |p| (at 200 bits
+# the H0-H2 values were off by up to 1.4e-31 relative for |p| <= 14, at 240
+# by 1.6e-43).
+FIX_BITS = ceil(PADE_DPS * log2(10)) + 40
 # Digits of the decimal solve behind a table.  The Toeplitz systems of the
 # 200-coefficient germs lose up to 60 digits to conditioning: a solve at
 # PADE_DPS + 3 digits leaves the tables off by 2e-5 at |p| = 12 on the ray
@@ -101,6 +110,14 @@ class GermEvaluator:
     Evaluates only sum coeffs[n] p^n; prefactors p^{lead2/2} with their
     branch bookkeeping are handled by the callers, which know the contour.
     An error estimate comes from comparing against a lower-order table.
+
+    A table is (num, den, e): both polynomials as integers, highest degree
+    first, den scaled by 2^FIX_BITS and num by 2^(FIX_BITS - e), where 2^e
+    just exceeds the largest Taylor coefficient; the value is 2^e
+    num(p)/den(p).  Re p and Im p are truncated to multiples of
+    2^-FIX_BITS, both polynomials are evaluated by Horner's rule on the
+    (re, im) integer pair, and only the quotient is formed in mpmath, at
+    PADE_DPS digits, so a value does not depend on the ambient precision.
     """
 
     def __init__(self, germ: BorelGerm):
@@ -120,8 +137,8 @@ class GermEvaluator:
     @staticmethod
     def _build(cs, scale):
         """Near-diagonal Pade table of the Taylor data ``cs`` (Decimals, in
-        the caller's decimal context), numerator times ``scale``: both
-        polynomials rounded to PADE_DPS, highest degree first."""
+        the caller's decimal context), numerator times ``scale``, rounded
+        once to the fixed-point table described on the class."""
         n = len(cs) - 1
         L = n - n // 2
         # degenerate Pade tables (exactly rational germs) make the linear
@@ -134,22 +151,24 @@ class GermEvaluator:
                 break
         else:
             p, q = cs, [Decimal(1)]  # the Taylor polynomial
-        with mp.workdps(PADE_DPS):
-            return ([mp.mpf(str(c * scale)) for c in reversed(p)],
-                    [mp.mpf(str(c)) for c in reversed(q)])
+        # q_0 = 1 sets the scale of the denominator, the largest Taylor
+        # coefficient that of the numerator: a table's relative precision
+        # then does not depend on the germ's magnitude (the level-24 germ's
+        # coefficients peak near 1e-31)
+        e = frexp(float(scale * max(map(abs, cs))))[1]
+        unit = scale * Decimal(2) ** (FIX_BITS - e)
+        return ([round(c * unit) for c in reversed(p)],
+                [round(c * 2 ** FIX_BITS) for c in reversed(q)], e)
 
     def __call__(self, p):
-        with mp.workdps(PADE_DPS):
-            num, den = self._pq
-            return mp.polyval(num, p) / mp.polyval(den, p)
+        return _pade_value(self._pq, p)
 
     def err_est(self, p):
         """Difference between the two Pade orders at p (0 if no check table)."""
         if self._pq_check is None:
             return mp.mpf(0)
         with mp.workdps(PADE_DPS):
-            num, den = self._pq_check
-            return abs(self(p) - mp.polyval(num, p) / mp.polyval(den, p))
+            return abs(self(p) - _pade_value(self._pq_check, p))
 
     def check_ray(self, phi, tmax, decay, tol):
         """Guard the ray: Pade error times the Laplace weight must stay
@@ -195,6 +214,28 @@ def _toeplitz_solve(cs, L, m):
         r = rows[j]
         q[j] = (r[m] - sum(r[k] * q[k] for k in range(j + 1, m))) / r[j]
     return [Decimal(1)] + q
+
+
+def _horner(cs, zr, zi):
+    """sum cs[k] z^(n-k) for z = (zr + i zi) 2^-FIX_BITS, on integers."""
+    bits = FIX_BITS
+    ar, ai = cs[0], 0
+    for c in cs[1:]:
+        ar, ai = (((ar * zr - ai * zi) >> bits) + c,
+                  (ar * zi + ai * zr) >> bits)
+    return ar, ai
+
+
+def _pade_value(table, p):
+    """2^e num(p)/den(p) of a fixed-point table (num, den, e)."""
+    num, den, e = table
+    p = mp.mpmathify(p)
+    re, im = p._mpc_ if hasattr(p, "_mpc_") else (p._mpf_, fzero)
+    zr, zi = to_fixed(re, FIX_BITS), to_fixed(im, FIX_BITS)
+    nr, ni = _horner(num, zr, zi)
+    dr, di = _horner(den, zr, zi)
+    with mp.workdps(PADE_DPS):
+        return mp.mpc(mp.mpf((nr, e)), mp.mpf((ni, e))) / mp.mpc(dr, di)
 
 
 @lru_cache(maxsize=None)
@@ -421,8 +462,7 @@ def estimate_S(germ=None):
             n = offset + i
             if n % 2 == 0 or not b:
                 continue
-            bn = mp.mpf(b.numerator) / b.denominator \
-                if isinstance(b, Fraction) else mp.mpmathify(b)
+            bn = mp.mpf(b.numerator) / b.denominator
             seq.append((n, bn * mp.sqrt(mp.pi) * mp.factorial(n)
                         / (2 * mp.gamma(n + mp.mpf("0.5")))))
         if len(seq) < EXTRAPOLATION_ORDER + 4:

@@ -272,18 +272,10 @@ def invariants(obj, x0, s0, steps):
 
 
 @main.command()
-@click.option("--full/--fast", default=False, show_default=True,
-              help="run the full pytest acceptance suite vs built-in "
-                   "closed-form checks")
 @click.pass_obj
 @handle_errors
-def verify(obj, full):
-    """Acceptance checks: closed-form subset by default, --full for all."""
-    if full:
-        import pytest
-
-        sys.exit(pytest.main(["-q", "tests/test_acceptance.py"]))
-
+def verify(obj):
+    """Acceptance checks against built-in closed forms."""
     from fractions import Fraction
 
     from .borel import borel_transform, estimate_S, solve_H0_convolution

@@ -36,7 +36,7 @@ class FormalSeries:
     """Truncated series sum_i coeffs[i] * x^{lead2/2 - i}.
 
     Exponents descend from ``lead2/2`` in integer steps; coefficients are
-    exact ``Fraction`` or ``complex``.
+    exact rationals (``Fraction``).
     """
 
     lead2: int
@@ -52,7 +52,7 @@ class FormalSeries:
         u = 1 / x
         acc = mp.mpf(0)
         for c in reversed(self.coeffs):
-            acc = acc * u + _to_mp(c)
+            acc = acc * u + mp.mpf(c.numerator) / mp.mpf(c.denominator)
         return acc * x ** (mp.mpf(self.lead2) / 2)
 
     def differentiate(self):
@@ -68,14 +68,6 @@ class FormalSeries:
     def shift(self, exp2):
         """Multiply by x^{exp2/2}."""
         return FormalSeries(self.lead2 + exp2, self.coeffs)
-
-
-def _to_mp(c):
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    if isinstance(c, complex):
-        return mp.mpc(c)
-    return mp.mpmathify(c)
 
 
 # The coefficients do not depend on the truncation order, so one exact
@@ -208,7 +200,7 @@ def borel_transform(s: FormalSeries, alpha=None) -> BorelGerm:
     out = []
     for n, cn in enumerate(s.coeffs):
         g = _gamma_rational(alpha2 + 2 * n)  # Gamma(n + alpha) [/sqrt(pi)]
-        out.append(cn / g if isinstance(cn, Fraction) else cn / float(g))
+        out.append(cn / g)
     return BorelGerm(lead2=alpha2 - 2, coeffs=tuple(out), sqrtpi=half)
 
 

@@ -81,6 +81,31 @@ class TestPadeTables:
                 tables.append((e._pq, e._pq_check))
             assert tables[0] == tables[1]
 
+    def test_fixed_point_kernel(self):
+        """The integer Horner kernel matches a 120-digit polyval of the same
+        table, and neither value nor error estimate depends on the ambient
+        precision."""
+        args = [mp.pi / 4, -mp.pi / 8, 3 * mp.pi / 4, mp.mpf("0.05")]
+        with mp.workdps(30):
+            pts = [r * mp.expj(a) for a in args
+                   for r in (mp.mpf("0.5"), 2, 5, 9, 14)]
+        for germ in (solve_H0_convolution(), germ_Hk(1), germ_Hk(2),
+                     germ_Hk(5), germ_Hk(12)):
+            ev = borel._evaluator(germ)
+            num, den, e = ev._pq
+            with mp.workdps(120):
+                nums = [mp.mpf(c) for c in num]
+                dens = [mp.mpf(c) for c in den]
+                for z in pts:
+                    ref = mp.ldexp(1, e) * mp.polyval(nums, z) \
+                        / mp.polyval(dens, z)
+                    assert abs(ev(z) - ref) <= 1e-40 * abs(ref)
+            seen = []
+            for dps in (15, 30, 50):
+                with mp.workdps(dps):
+                    seen.append([(ev(z), ev.err_est(z)) for z in pts])
+            assert seen[0] == seen[1] == seen[2]
+
     def test_taylor_fallback_order(self):
         """When no denominator degree solves, the table is the Taylor
         polynomial, highest degree first."""

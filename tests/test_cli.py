@@ -139,3 +139,10 @@ class TestCli:
         n, pre, pim, dre, dim, gap = lines[2].split(",")
         assert n == "5"
         assert float(gap) < 1e-2
+
+    def test_verify_has_no_full_flag(self, runner):
+        """The pytest run behind ``verify --full`` is gone; the flag is a
+        usage error, not a silent fallback to the fast checks."""
+        res = runner.invoke(main, ["verify", "--full"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
