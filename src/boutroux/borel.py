@@ -14,7 +14,9 @@ integers, fixed-point numbers with FIX_BITS fractional bits.  A table is
 evaluated by Horner's rule on those integers; only the final division of
 numerator by denominator runs in mpmath, at PADE_DPS digits.  Laplace
 integrals along rotated rays then produce actual tronquee solutions, and
-Hankel-type loop integrals around the cuts measure the Stokes jump.
+a Hankel loop around the cut [1, inf) measures the Stokes jump.  Rays and
+loop legs are integrated by one panel sum, nested Clenshaw-Curtis rules
+on whole dyadic panels (:func:`_panel_sum`).
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ def _evaluator(germ):
 
 
 # ---------------------------------------------------------------------------
-# Laplace rays
+# Panel sums and Laplace rays
 
 CC_ORDERS = (4, 8, 16, 32, 64, 128, 256)
 
@@ -267,14 +269,43 @@ def _cc_rule(n, prec):
     return c, w
 
 
-def _interpolate(nodes, values, y):
-    """Barycentric interpolation in the points cos(j pi/n)."""
-    if y in nodes:
-        return values[nodes.index(y)]
-    n = len(nodes) - 1
-    lams = [(-1) ** j / ((2 if j in (0, n) else 1) * (y - c))
-            for j, c in enumerate(nodes)]
-    return mp.fdot(lams, values) / mp.fsum(lams)
+def _panel_sum(f, smax):
+    """int_0^b f(s) ds and its error estimate, b the first of the dyadic
+    edges 2^j, j >= -5, at or above ``smax``.  Each panel between edges
+    carries nested Clenshaw-Curtis rules (the order-n nodes contain the
+    order-n/2 ones, adjacent panels share an end node, f is called once
+    per node) and is refined through CC_ORDERS until its estimated error
+    is below 16 ulps of the working precision times int_0^b |f|."""
+    panels, a, b = [], mp.mpf(0), mp.ldexp(1, -5)
+    while a < smax:
+        panels.append((a, b))
+        a, b = b, 2 * b
+    fs = {}  # node s -> f(s)
+
+    def rule(panel, n):  # (value, integral of |f|) of one panel
+        a, b = panel
+        nodes, weights = _cc_rule(n, mp.mp.prec)
+        mid, half = (a + b) / 2, (b - a) / 2
+        ss = [mid + half * c for c in nodes]
+        fs.update((s, f(s)) for s in ss if s not in fs)
+        vals = [fs[s] for s in ss]
+        return (mp.fdot(weights, vals) * half,
+                mp.fdot(weights, map(abs, vals)) * half)
+
+    rules = [[rule(pan, n) for n in CC_ORDERS[:3]] for pan in panels]
+    target = 16 * mp.eps * sum(r[-1][1] for r in rules)
+    for pan, r in zip(panels, rules):
+        while _estimate(r) > target and len(r) < len(CC_ORDERS):
+            r.append(rule(pan, CC_ORDERS[len(r)]))
+    return sum(r[-1][0] for r in rules), sum(_estimate(r) for r in rules)
+
+
+def _estimate(rules):
+    """Error of the last of nested rule values: d^2/d_prev bounds it under
+    geometric convergence, d (the embedded-rule difference) in any case."""
+    d = abs(rules[-1][0] - rules[-2][0])
+    d_prev = abs(rules[-2][0] - rules[-3][0])
+    return min(d, d * d / d_prev) if d_prev else d
 
 
 class LaplaceEngine:
@@ -282,12 +313,10 @@ class LaplaceEngine:
 
     The integrand is e^{-p x} G(s) ds with u = e^{i phi} and G = p^{lead2/2}
     Y(p), p = u s for integer germs, or G = s^{lead2+1} Y(p), p = u s^2 for
-    half-integer ones.  The ray is cut at the dyadic edges 2^j, j >= -5, of
-    s, and each panel carries nested Clenshaw-Curtis rules (the order-n
-    nodes contain the order-n/2 ones).  G is cached per node, so a later x
-    pays only for its exponentials.  A panel is refined through CC_ORDERS
-    until its estimated error is below the working precision times the
-    integral of |integrand| over the ray.
+    half-integer ones.  Every x integrates whole panels of
+    :func:`_panel_sum`, so all x on the ray share their nodes up to the
+    shorter truncation edge.  G is cached per node, and a later x pays only
+    for its exponentials.
     """
 
     def __init__(self, germ, phi):
@@ -307,63 +336,21 @@ class LaplaceEngine:
             self._g[s] = lead * self.evaluator(p)
         return self._g[s]
 
-    def _f(self, s, g, x, deriv):
-        p = self._p(s)
-        return mp.exp(-p * x) * g * (-p if deriv else 1)
-
-    def _rule(self, panel, n, x, deriv, fs_at):
-        """Order-n rule on one panel: (value, integral of |integrand|).
-        ``fs_at`` holds this x's integrand at the nodes of whole panels."""
-        a, b, end = panel
-        nodes, weights = _cc_rule(n, mp.mp.prec)
-        mid, half = (a + b) / 2, (b - a) / 2
-        ss = [mid + half * c for c in nodes]
-        if end < b:
-            # the panel holding the truncation point: order-n nodes of
-            # [a, end], G interpolated from the order-n nodes of [a, b]
-            gs = [self._G(s) for s in ss]
-            ss = [a + (end - a) * (1 + c) / 2 for c in nodes]
-            gs = [_interpolate(nodes, gs, (s - mid) / half) for s in ss]
-            half = (end - a) / 2
-            fs = [self._f(s, g, x, deriv) for s, g in zip(ss, gs)]
-        else:
-            # nested orders and adjacent panels share nodes
-            for s in ss:
-                if s not in fs_at:
-                    fs_at[s] = self._f(s, self._G(s), x, deriv)
-            fs = [fs_at[s] for s in ss]
-        return (mp.fdot(weights, fs) * half,
-                mp.fdot(weights, map(abs, fs)) * half)
-
     def integrate(self, x, tmax, deriv):
-        """int_0^tmax e^{-p x} Y(p) p^{lead2/2} dp along the ray (times -p
-        for the x-derivative) and its error estimate."""
+        """int e^{-p x} Y(p) p^{lead2/2} dp along the ray, up to the panel
+        edge at or past tmax (times -p for the x-derivative), and its error
+        estimate."""
         # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
         half_int = self.lead2 % 2
-        smax = mp.sqrt(tmax) if half_int else tmax
-        panels, a, b = [], mp.mpf(0), mp.ldexp(1, -5)
-        while a < smax:
-            panels.append((a, b, min(b, smax)))
-            a, b = b, 2 * b
-        fs_at = {}
-        rules = [[self._rule(pan, n, x, deriv, fs_at) for n in CC_ORDERS[:3]]
-                 for pan in panels]
-        target = 16 * mp.eps * sum(r[-1][1] for r in rules)
-        for pan, r in zip(panels, rules):
-            while _estimate(r) > target and len(r) < len(CC_ORDERS):
-                r.append(self._rule(pan, CC_ORDERS[len(r)], x, deriv, fs_at))
-        val = sum(r[-1][0] for r in rules)
+
+        def f(s):
+            p = self._p(s)
+            return mp.exp(-p * x) * self._G(s) * (-p if deriv else 1)
+
+        val, err = _panel_sum(f, mp.sqrt(tmax) if half_int else tmax)
         val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \
             else self.u
-        return val, sum(_estimate(r) for r in rules)
-
-
-def _estimate(rules):
-    """Error of the last of nested rule values: d^2/d_prev bounds it under
-    geometric convergence, d (the embedded-rule difference) in any case."""
-    d = abs(rules[-1][0] - rules[-2][0])
-    d_prev = abs(rules[-2][0] - rules[-3][0])
-    return min(d, d * d / d_prev) if d_prev else d
+        return val, err
 
 
 def _singular_direction_margin(phi):
@@ -496,9 +483,12 @@ def estimate_S(germ=None):
 def jump_via_hankel(germ, x):
     """Loop integral of e^{-px} Y(p) around the Borel cut [1, inf).
 
-    The (counterclockwise) loop comes in from p = T - 0.3i, turns around
-    p = 1 and goes out along p = T + 0.3i.  This equals the difference of
-    the two lateral Laplace sums across the positive Stokes direction.
+    The loop comes in along Im p = -d, turns on Re p = a = 1 - d and goes
+    out along Im p = d.  This equals the lateral Laplace sum above the
+    positive Stokes direction less the one below it.  Each leg is a panel
+    sum cut from its end nearest p = 1: the vertical one as two halves
+    from p = a, which end exactly at a -+ i d because d = 1/4 is a dyadic
+    edge, the horizontal ones past T, where e^{-px} is below tol 1e-3.
     """
     x = mp.mpmathify(x)
     decay = mp.re(x)
@@ -507,7 +497,7 @@ def jump_via_hankel(germ, x):
                               % mp.nstr(x))
     tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
     ev = _evaluator(germ)
-    d = mp.mpf(0.3)
+    d = mp.mpf(1) / 4
     T = max(mp.mpf(2), 1 + -mp.log(tol * mp.mpf("1e-3")) / decay)
     a = 1 - d  # turning abscissa, just shy of the branch point
     lead = germ.lead2 // 2 if germ.lead2 % 2 == 0 else mp.mpf(germ.lead2) / 2
@@ -515,14 +505,13 @@ def jump_via_hankel(germ, x):
     def f(p):
         return mp.exp(-p * x) * ev(p) * p ** lead
 
-    # three straight legs, counterclockwise around the cut
-    corners = [T - 1j * d, a - 1j * d, a + 1j * d, T + 1j * d]
-    total = mp.mpc(0)
-    errs = mp.mpf(0)
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        seg, e = mp.quad(lambda s, z0=z0, z1=z1: f(z0 + (z1 - z0) * s)
-                         * (z1 - z0), [0, 1], error=True)
-        total += seg
+    # (start, direction, length, sign): the legs below the cut run inward
+    legs = ((mp.mpc(a, d), 1, T - a, 1), (a, 1j, d, 1),
+            (a, -1j, d, -1), (mp.mpc(a, -d), 1, T - a, -1))
+    total, errs = mp.mpc(0), mp.mpf(0)
+    for z0, v, length, sign in legs:
+        seg, e = _panel_sum(lambda s: f(z0 + v * s) * v, length)
+        total += sign * seg
         errs += e
     if errs > tol * (1 + abs(total)) * 1e6:
         raise QuadratureError("loop quadrature error %.3e above target"

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import FitDegenerateError, NoConvergenceError
-from .series import h0_coefficients
+from .series import h0_series
 
 _KERNEL_CACHE = {}
 
@@ -51,16 +51,7 @@ def truncated_series(x, kmax):
     """Sum_{k <= kmax} c_k x^{-k} with the exact coefficients."""
     if kmax < 4:
         return mp.mpf(0)
-    cs = h0_coefficients(kmax)
-    acc = mp.mpf(0)
-    xm = mp.mpc(x)
-    for i in range(len(cs) - 1, -1, -1):
-        k = 4 + i
-        if k > kmax:
-            continue
-        c = cs[i]
-        acc = acc / xm + mp.mpf(c.numerator) / c.denominator
-    return acc * xm ** -4
+    return h0_series(kmax)(x)
 
 
 def default_schedule():

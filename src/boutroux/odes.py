@@ -115,7 +115,6 @@ class PoleRecord:
     """A double pole of h found in the g-chart."""
 
     location: complex
-    index: int | None = None
     witness: float = 0.0  # |g - 3| at the refined location
 
 

@@ -133,16 +133,20 @@ def transseries_level(k, N, eqp_coeff=EQP_COEFF):
 def _level_table(k, N, eqp_coeff):
     """Coefficients a_0..a_N of t_k by the recurrence above."""
     c = {4 + i: v for i, v in enumerate(h0_coefficients(N + 4, eqp_coeff)) if v}
+    # (1/2) sum_{0<i<k} t_i t_{k-i}: each unordered pair once, and only the
+    # middle square t_{k/2}^2 halved
     rhs = [Fraction(0)] * (N + 3)
-    for i in range(1, k):
+    for i in range(1, k // 2 + 1):
         ti = transseries_level(i, N, eqp_coeff)
         tj = transseries_level(k - i, N, eqp_coeff)
         for a in range(min(len(ti.coeffs), N + 3)):
             ca = ti.coeffs[a]
             if not ca:
                 continue
+            if 2 * i == k:
+                ca /= 2
             for b in range(min(len(tj.coeffs), N + 3 - a)):
-                rhs[a + b] += ca * tj.coeffs[b] / 2
+                rhs[a + b] += ca * tj.coeffs[b]
 
     a = [Fraction(0)] * (N + 1)
 

@@ -240,6 +240,20 @@ class TestStokesData:
         finally:
             mp.mp.dps = 15
 
+    def test_jump_to_working_precision(self):
+        """The loop and the lateral difference agree to the working
+        precision of the lateral sums, not just to the 1e-24 above."""
+        mp.mp.dps = 30
+        try:
+            g = solve_H0_convolution()
+            for x in (mp.mpf(9), mp.mpf(18)):
+                upper = laplace_ray(g, x, phi=mp.pi / 4)
+                lateral = upper - laplace_ray(g, x, phi=-mp.pi / 4)
+                assert abs(jump_via_hankel(g, x) - lateral) \
+                    <= 1e-29 * abs(upper)
+        finally:
+            mp.mp.dps = 15
+
     def test_jump_leading_asymptotics(self):
         """Loop integral ~ -mu e^{-x} x^{-1/2} with O(1/x) relative error."""
         mp.mp.dps = 30

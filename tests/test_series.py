@@ -94,7 +94,7 @@ class TestTransseriesLevels:
         t2 = transseries_level(2, 4)
         assert t2.coeffs[0] == Fraction(1, 6)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_linearized_residual_oracle(self, k):
         """Order-eps^k terms of the substituted transseries cancel.
 
