@@ -81,14 +81,10 @@ def solve_H0_convolution(N=DEFAULT_GERM_ORDER):
     """
     b = [Fraction(0)] * (N + 1)
     for n in range(3, N + 1):
-        rhs = Fraction(0)
-        if n == 3:
-            rhs -= EQP_COEFF / 6
-        if n >= 2:
-            rhs += b[n - 2] * Fraction(1, n)
+        rhs = b[n - 2] * Fraction(1, n) - (EQP_COEFF / 6 if n == 3 else 0)
         for i in range(3, n - 3):
-            j = n - 1 - i
-            if 3 <= j < N + 1 and b[i] and b[j]:
+            j = n - 1 - i  # 3 <= j <= n - 4
+            if b[i] and b[j]:
                 rhs += b[i] * b[j] * Fraction(factorial(i) * factorial(j),
                                               2 * factorial(n))
         b[n] = b[n - 2] - rhs
@@ -218,13 +214,15 @@ def _toeplitz_solve(cs, L, m):
     return [Decimal(1)] + q
 
 
-def _horner(cs, zr, zi):
-    """sum cs[k] z^(n-k) for z = (zr + i zi) 2^-FIX_BITS, on integers."""
-    bits = FIX_BITS
+def _horner(cs, zr, zi, bits):
+    """sum cs[k] z^(n-k) for z = (zr + i zi) 2^-bits, on integers; a step
+    takes three products, k = zr (ar + ai): Re = k - ai (zr + zi) and
+    Im = k + ar (zi - zr)."""
+    s, d = zr + zi, zi - zr
     ar, ai = cs[0], 0
     for c in cs[1:]:
-        ar, ai = (((ar * zr - ai * zi) >> bits) + c,
-                  (ar * zi + ai * zr) >> bits)
+        k = zr * (ar + ai)
+        ar, ai = ((k - ai * s) >> bits) + c, (k + ar * d) >> bits
     return ar, ai
 
 
@@ -234,8 +232,13 @@ def _pade_value(table, p):
     p = mp.mpmathify(p)
     re, im = p._mpc_ if hasattr(p, "_mpc_") else (p._mpf_, fzero)
     zr, zi = to_fixed(re, FIX_BITS), to_fixed(im, FIX_BITS)
-    nr, ni = _horner(num, zr, zi)
-    dr, di = _horner(den, zr, zi)
+    # dividing out the power of two common to zr and zi (p's mantissa is
+    # short) shortens every product and leaves Horner's integers unchanged
+    low = zr | zi
+    t = min((low & -low).bit_length() - 1, FIX_BITS) if low else 0
+    zr, zi, bits = zr >> t, zi >> t, FIX_BITS - t
+    nr, ni = _horner(num, zr, zi, bits)
+    dr, di = _horner(den, zr, zi, bits)
     with mp.workdps(PADE_DPS):
         return mp.mpc(mp.mpf((nr, e)), mp.mpf((ni, e))) / mp.mpc(dr, di)
 
@@ -256,17 +259,17 @@ def _cc_rule(n, prec):
     """Points cos(j pi/n), j = 0..n, and Clenshaw-Curtis weights on [-1, 1].
 
     Point j of order n is bit-identical to point 2j of order 2n, so nested
-    orders share their cached nodes.
-    """
+    orders share their cached nodes.  Weight n - j sums the same terms as
+    weight j (2k(n - j) = -2kj mod 2n), so only j <= n/2 are summed."""
     with mp.workprec(prec):
         c = [mp.cospi(mp.mpf(j) / n) for j in range(n + 1)]
         w = []
-        for j in range(n + 1):
+        for j in range(n // 2 + 1):
             ms = [2 * k * j % (2 * n) for k in range(1, n // 2 + 1)]
             acc = 1 - mp.fsum((1 if 2 * k == n else 2) * c[min(m, 2 * n - m)]
                               / (4 * k * k - 1) for k, m in enumerate(ms, 1))
-            w.append(acc * (1 if j in (0, n) else 2) / n)
-    return c, w
+            w.append(acc * (1 if j == 0 else 2) / n)
+    return c, w + w[n - len(w)::-1]
 
 
 def _panel_sum(f, smax):
@@ -282,29 +285,30 @@ def _panel_sum(f, smax):
         a, b = b, 2 * b
     fs = {}  # node s -> f(s)
 
-    def rule(panel, n):  # (value, integral of |f|) of one panel
+    def rule(panel, n, absolute=False):  # int of f, or |f|, over one panel
         a, b = panel
         nodes, weights = _cc_rule(n, mp.mp.prec)
         mid, half = (a + b) / 2, (b - a) / 2
         ss = [mid + half * c for c in nodes]
         fs.update((s, f(s)) for s in ss if s not in fs)
         vals = [fs[s] for s in ss]
-        return (mp.fdot(weights, vals) * half,
-                mp.fdot(weights, map(abs, vals)) * half)
+        return mp.fdot(weights, map(abs, vals) if absolute else vals) * half
 
     rules = [[rule(pan, n) for n in CC_ORDERS[:3]] for pan in panels]
-    target = 16 * mp.eps * sum(r[-1][1] for r in rules)
+    # int |f| by the order-16 rules, whose nodes are all cached by now
+    target = 16 * mp.eps * sum(rule(pan, CC_ORDERS[2], absolute=True)
+                               for pan in panels)
     for pan, r in zip(panels, rules):
         while _estimate(r) > target and len(r) < len(CC_ORDERS):
             r.append(rule(pan, CC_ORDERS[len(r)]))
-    return sum(r[-1][0] for r in rules), sum(_estimate(r) for r in rules)
+    return sum(r[-1] for r in rules), sum(_estimate(r) for r in rules)
 
 
 def _estimate(rules):
     """Error of the last of nested rule values: d^2/d_prev bounds it under
     geometric convergence, d (the embedded-rule difference) in any case."""
-    d = abs(rules[-1][0] - rules[-2][0])
-    d_prev = abs(rules[-2][0] - rules[-3][0])
+    d = abs(rules[-1] - rules[-2])
+    d_prev = abs(rules[-2] - rules[-3])
     return min(d, d * d / d_prev) if d_prev else d
 
 
@@ -323,17 +327,14 @@ class LaplaceEngine:
         self.evaluator = _evaluator(germ)
         self.lead2 = germ.lead2
         self.u = mp.expj(phi)
-        self._g = {}  # node s -> G(s)
+        self._g = {}  # node s -> (-p, G(s))
 
-    def _p(self, s):
-        return self.u * s ** (1 + self.lead2 % 2)
-
-    def _G(self, s):
+    def _node(self, s):
         if s not in self._g:
-            p = self._p(s)
+            p = self.u * s ** (1 + self.lead2 % 2)
             lead = s ** (self.lead2 + 1) if self.lead2 % 2 \
                 else p ** (self.lead2 // 2)
-            self._g[s] = lead * self.evaluator(p)
+            self._g[s] = (-p, lead * self.evaluator(p))
         return self._g[s]
 
     def integrate(self, x, tmax, deriv):
@@ -344,8 +345,8 @@ class LaplaceEngine:
         half_int = self.lead2 % 2
 
         def f(s):
-            p = self._p(s)
-            return mp.exp(-p * x) * self._G(s) * (-p if deriv else 1)
+            minus_p, g = self._node(s)
+            return mp.exp(minus_p * x) * g * (minus_p if deriv else 1)
 
         val, err = _panel_sum(f, mp.sqrt(tmax) if half_int else tmax)
         val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \

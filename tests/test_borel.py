@@ -106,6 +106,36 @@ class TestPadeTables:
                     seen.append([(ev(z), ev.err_est(z)) for z in pts])
             assert seen[0] == seen[1] == seen[2]
 
+    def test_kernel_bits_on_shortened_node(self):
+        """Horner on the node with its common power of two divided out, by
+        three products a step, gives the bits of the full-width four-product
+        rule; p = 0 and even integers hit the bounds of that power."""
+        from mpmath.libmp import to_fixed
+
+        def four_products(cs, zr, zi):
+            ar, ai = cs[0], 0
+            for c in cs[1:]:
+                ar, ai = (((ar * zr - ai * zi) >> borel.FIX_BITS) + c,
+                          (ar * zi + ai * zr) >> borel.FIX_BITS)
+            return ar, ai
+
+        with mp.workdps(30):
+            pts = [mp.mpf(0), mp.mpf(4), mp.mpc(2, -6), mp.mpc("0.3", "-2.7"),
+                   mp.expj(-mp.pi / 4) * mp.mpf("1.37")]
+        with mp.workdps(60):
+            pts.append(mp.expj(mp.pi / 4) * mp.pi)
+        for germ in (solve_H0_convolution(), germ_Hk(1)):
+            num, den, e = borel._evaluator(germ)._pq
+            for z in pts:
+                zr, zi = (to_fixed(v._mpf_, borel.FIX_BITS)
+                          for v in (mp.re(z), mp.im(z)))
+                nr, ni = four_products(num, zr, zi)
+                dr, di = four_products(den, zr, zi)
+                with mp.workdps(borel.PADE_DPS):
+                    ref = mp.mpc(mp.mpf((nr, e)), mp.mpf((ni, e))) \
+                        / mp.mpc(dr, di)
+                assert borel._pade_value((num, den, e), z) == ref
+
     def test_taylor_fallback_order(self):
         """When no denominator degree solves, the table is the Taylor
         polynomial, highest degree first."""
