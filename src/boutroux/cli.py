@@ -133,10 +133,11 @@ def coeffs(obj, order):
 def borel(obj, order):
     """Borel-germ diagnostics and the singularity constant estimate."""
     from .borel import estimate_S, solve_H0_convolution
+    from .connection import mu_closed_form
 
     germ = solve_H0_convolution(order)
     S, S_err = estimate_S(germ)
-    exact = mp.sqrt(mp.mpf(6) / (5 * mp.pi)) / (2 * mp.sqrt(mp.pi))
+    exact = mp.im(mu_closed_form()) / (2 * mp.sqrt(mp.pi))
     payload = {
         "order": order,
         "S_estimate": [float(mp.re(S)), float(mp.im(S))],
@@ -279,6 +280,7 @@ def verify(obj):
     from fractions import Fraction
 
     from .borel import borel_transform, estimate_S, solve_H0_convolution
+    from .connection import mu_closed_form
     from .cycles import cycle_J, cycle_L, rho, solve_stok2
     from .series import h0_coefficients, h0_series
     from .twoscale import integrability_witness
@@ -295,12 +297,12 @@ def verify(obj):
                    g1.lead2 == g2.lead2
                    and all(a == b for a, b in zip(g1.coeffs, g2.coeffs))))
     S, _ = estimate_S()
-    exact = mp.sqrt(mp.mpf(6) / (5 * mp.pi)) / (2 * mp.sqrt(mp.pi))
+    exact = mp.im(mu_closed_form()) / (2 * mp.sqrt(mp.pi))
     checks.append(("singularity constant",
                    abs(abs(S) - exact) / exact < 1e-3))
     mu, resid = solve_stok2()
     checks.append(("mu closed form", resid < 1e-12
-                   and abs(mu - 1j * math.sqrt(6 / (5 * math.pi))) < 1e-12))
+                   and abs(mu - complex(mu_closed_form())) < 1e-12))
     checks.append(("integrability witness",
                    integrability_witness(Fraction(-392, 625)) == 0
                    and integrability_witness(

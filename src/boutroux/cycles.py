@@ -16,12 +16,13 @@ and s = -4/3 (the interior roots collide).  The period integrals
 satisfy J'' + rho J / 4 = 0 with rho = 5/(3s(3s+4)).  Iterating once
 around the cycle gives the Poincare map (x_n, s_n) -> (x_{n+1}, s_{n+1})
 with the adiabatic invariants Q = x J(s) and K_shifted = K(s_n) +
-2n/(kappa0 x0 J(s0)), K = Jhat/J.
+2n/(x0 J(s0)), K = Jhat/(W J) with W the Wronskian of J and Jhat.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,17 +62,12 @@ def cubic_roots(s):
     return rts[order]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cycle:
     """Closed u-contour: circle through u0 = -4 around the interior pair."""
 
     center: complex = CYCLE_CENTER
     radius: float = CYCLE_RADIUS
-
-    def point(self, t):
-        """Contour point at parameter t in [0, 1), starting at the base."""
-        return self.center + self.radius * np.exp(
-            1j * (math.pi + 2 * math.pi * np.asarray(t)))
 
     def validate(self, s):
         """Require the contour to enclose exactly two roots of the cubic
@@ -92,50 +88,53 @@ class Cycle:
                 % (inside.sum(), s))
 
 
-def _R_track(u_vals, s, R_prev=None):
+@functools.lru_cache(maxsize=16)
+def _contour(cycle, n):
+    """Read-only nodes u_j = u(j/n), j = 0..n, from the base point round
+    to the closing node, and du/dt at each: the one discretisation of the
+    contour, read by the period quadrature and by the Poincare map."""
+    t = np.arange(n + 1) / n
+    u = cycle.center + cycle.radius * np.exp(1j * (math.pi + 2 * math.pi * t))
+    du = 2j * math.pi * (u - cycle.center)
+    u.flags.writeable = du.flags.writeable = False
+    return u, du
+
+
+def _R_track(u_vals, s):
     """sqrt(u^3/3 + u^2 + s) branch-tracked continuously along u_vals."""
     vals = np.sqrt(u_vals**3 / 3.0 + u_vals**2 + complex(s))
-    out = np.empty_like(vals)
-    for i, v in enumerate(vals):
-        if R_prev is not None and abs(v - R_prev) > abs(v + R_prev):
-            v = -v
-        out[i] = v
-        R_prev = v
-    return out
+    for i in range(1, len(vals)):
+        if abs(vals[i] - vals[i - 1]) > abs(vals[i] + vals[i - 1]):
+            vals[i] = -vals[i]
+    return vals
 
 
-def _cycle_quadrature(s, npts, cycle=None):
-    """Trapezoid values of (J, L) on the contour with npts nodes."""
+def _periods(s, cycle=None):
+    """(J, J_err, L, L_err) by the trapezoid rule on the NPTS contour
+    nodes, tracked in one pass up to the closing node, which must restore
+    the base node's branch; the errors compare with the even nodes' sums."""
     cycle = cycle or Cycle()
-    t = np.arange(npts) / npts
-    u = cycle.point(t)
-    du = 2j * math.pi * (u - cycle.center) / npts  # du/dt / npts
+    cycle.validate(s)
+    u, dudt = _contour(cycle, NPTS)
     R = _R_track(u, s)
-    # single-valuedness check: closing the contour must restore the branch
-    R_close = _R_track(u[:1], s, R_prev=R[-1])[0]
-    if abs(R_close - R[0]) > 1e-8 * abs(R[0]):
+    if abs(R[-1] - R[0]) > 1e-8 * abs(R[0]):
         raise DegenerateCycleError(
             "R is not single-valued on the contour at s = %s" % s)
-    return np.sum(R * du), np.sum(du / R)
+    du, du2 = dudt[:-1] / NPTS, dudt[:-1:2] / (NPTS // 2)
+    J, L = np.sum(R[:-1] * du), np.sum(du / R[:-1])
+    J2, L2 = np.sum(R[:-1:2] * du2), np.sum(du2 / R[:-1:2])
+    return J, abs(J - J2), L, abs(L - L2)
 
 
 def cycle_J(s, cycle=None, return_error=False):
     """J(s) = oint R du over the cycle (trapezoid quadrature)."""
-    cycle = cycle or Cycle()
-    cycle.validate(s)
-    J2, _ = _cycle_quadrature(s, NPTS // 2, cycle)
-    J, _ = _cycle_quadrature(s, NPTS, cycle)
-    err = abs(J - J2)
+    J, err, _, _ = _periods(s, cycle)
     return (J, err) if return_error else J
 
 
 def cycle_L(s, cycle=None, return_error=False):
     """L(s) = oint du/R over the cycle; equals 2 J'(s)."""
-    cycle = cycle or Cycle()
-    cycle.validate(s)
-    _, L2 = _cycle_quadrature(s, NPTS // 2, cycle)
-    _, L = _cycle_quadrature(s, NPTS, cycle)
-    err = abs(L - L2)
+    _, _, L, err = _periods(s, cycle)
     return (L, err) if return_error else L
 
 
@@ -212,11 +211,9 @@ def solve_J_ode(s_grid):
     s_grid = np.asarray(s_grid, dtype=complex)
     if len(s_grid) < 2:
         raise ValueError("need at least two grid points")
-    J0 = cycle_J(s_grid[0])
-    L0 = cycle_L(s_grid[0])
+    J0, _, L0, _ = _periods(s_grid[0])
     yJ = np.array([J0, L0 / 2.0], dtype=complex)
-    yH = np.asarray(_jhat_seed(_JHAT_BASE), dtype=complex)
-    yH = _ode_continue(_JHAT_BASE, yH, s_grid[0])
+    yH = np.array(jhat_at(s_grid[0]), dtype=complex)
 
     Js, Jps, Hs, Hps = [], [], [], []
     for i, s in enumerate(s_grid):
@@ -237,8 +234,7 @@ def solve_J_ode(s_grid):
 
 def jhat_at(s):
     """(Jhat(s), Jhat'(s)) by continuation from the Frobenius seed."""
-    y = np.asarray(_jhat_seed(_JHAT_BASE), dtype=complex)
-    y = _ode_continue(_JHAT_BASE, y, s)
+    y = _ode_continue(_JHAT_BASE, _jhat_seed(_JHAT_BASE), s)
     return complex(y[0]), complex(y[1])
 
 
@@ -250,46 +246,43 @@ def poincare_step(x_n, s_n, nsteps=1024, cycle=None, source=True,
                   _rerouted=False):
     """One traversal of the cycle: (x_n, s_n) -> (x_{n+1}, s_{n+1}).
 
-    Fixed-step RK4 in the contour parameter with continuous branch
-    tracking of R.  ``source=False`` drops the 1/x terms (autonomous
-    limit, s is then conserved exactly).
+    Fixed-step RK4 on the 2 nsteps contour nodes (step i at nodes 2i,
+    2i+1, 2i+2) with continuous branch tracking of R, rerouted once onto
+    the contour shifted by 0.15i where R vanishes.  ``source=False`` drops
+    the 1/x terms (autonomous limit, s is then conserved exactly).
     """
     cycle = cycle or Cycle()
-    x = complex(x_n)
-    s = complex(s_n)
+    u_tab, du_tab = (a.tolist() for a in _contour(cycle, 2 * nsteps))
+    x, s = complex(x_n), complex(s_n)
     R_ref = cmath.sqrt(U_BASE**3 / 3.0 + U_BASE**2 + s)
 
-    def rhs(t, y, R_prev):
-        u = complex(cycle.point(t))
-        du = 2j * math.pi * (u - cycle.center)  # du/dt
-        R = cmath.sqrt(u**3 / 3.0 + u**2 + y[1])
+    def rhs(j, x, s, R_prev):
+        u, du = u_tab[j], du_tab[j]
+        R = cmath.sqrt(u**3 / 3.0 + u**2 + s)
         if abs(R - R_prev) > abs(R + R_prev):
             R = -R
         if abs(R) < 1e-9:
             raise CycleBreakdownError(
                 "R vanished on the contour at u = %s" % u)
-        ds = -2.0 * R / y[0] if source else 0.0
-        if source:
-            ds += S_SOURCE / y[0] ** 4
-        return np.array([du / R, du * ds]), R
+        ds = -2.0 * R / x + S_SOURCE / x ** 4 if source else 0.0
+        return du / R, du * ds, R
 
-    y = np.array([x, s], dtype=complex)
-    htau = 1.0 / nsteps
+    h = 1.0 / nsteps
     try:
-        for i in range(nsteps):
-            t = i * htau
-            k1, R_ref = rhs(t, y, R_ref)
-            k2, _ = rhs(t + htau / 2, y + htau * k1 / 2, R_ref)
-            k3, _ = rhs(t + htau / 2, y + htau * k2 / 2, R_ref)
-            k4, _ = rhs(t + htau, y + htau * k3, R_ref)
-            y = y + htau * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        for j in range(0, 2 * nsteps, 2):
+            k1x, k1s, R_ref = rhs(j, x, s, R_ref)
+            k2x, k2s, _ = rhs(j + 1, x + h * k1x / 2, s + h * k1s / 2, R_ref)
+            k3x, k3s, _ = rhs(j + 1, x + h * k2x / 2, s + h * k2s / 2, R_ref)
+            k4x, k4s, _ = rhs(j + 2, x + h * k3x, s + h * k3s, R_ref)
+            x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+            s = s + h * (k1s + 2 * k2s + 2 * k3s + k4s) / 6.0
     except CycleBreakdownError:
         if _rerouted:
             raise
         shifted = Cycle(center=cycle.center + 0.15j, radius=cycle.radius)
         return poincare_step(x_n, s_n, nsteps=nsteps, cycle=shifted,
                              source=source, _rerouted=True)
-    return complex(y[0]), complex(y[1])
+    return x, s
 
 
 @dataclass
@@ -307,18 +300,15 @@ def run_cycles(x0, s0, N):
     """Iterate the Poincare map N times, recording Q and K_shifted.
 
     Terminates early when arg x_n reaches -pi + 0.1 (the last pole
-    array).  Q = x_n J(s_n); K_shifted = Jhat/J (s_n) + 2n/(kappa0 x0
-    J(s0)) with kappa0 the Wronskian of J and Jhat.
+    array).  Q = x_n J(s_n); K_shifted = K(s_n) + 2n/(x0 J(s0)) with
+    K = Jhat/(W J) and W the Wronskian of J and Jhat at s0.
     """
     x0, s0 = complex(x0), complex(s0)
-    J0 = cycle_J(s0)
+    J0, _, L0, _ = _periods(s0)
     Jh0, Jhp0 = jhat_at(s0)
-    L0 = cycle_L(s0)
     # rescale Jhat to unit Wronskian so that K' = 1/J^2 exactly; the
-    # conserved combination is then K(s_n) + 2n/(kappa0 x0 J0) with
-    # kappa0 = 1 in this normalization
+    # conserved combination is then K(s_n) + 2n/(x0 J0)
     kappa_raw = J0 * Jhp0 - Jh0 * L0 / 2.0
-    kappa0 = 1.0
 
     states = []
     x, s = x0, s0
@@ -327,7 +317,7 @@ def run_cycles(x0, s0, N):
         Jh, _ = jhat_at(s)
         states.append(CycleState(
             n=n, x_n=x, s_n=s, Q=x * J,
-            K_shifted=Jh / (kappa_raw * J) + 2.0 * n / (kappa0 * x0 * J0)))
+            K_shifted=Jh / (kappa_raw * J) + 2.0 * n / (x0 * J0)))
         if n == N or cmath.phase(x) <= -math.pi + 0.1:
             break
         x, s = poincare_step(x, s)

@@ -19,6 +19,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .connection import mu_closed_form
 from .errors import ChartDeadlockError, StepFailureError
 from .series import EQP_COEFF, h0_coefficients, h0_series, level_series
 
@@ -170,12 +171,19 @@ def integrate_path(x0, state, path, rtol=1e-12, atol=1e-14):
 
     ``state`` is (h, h') in the h-chart.  The integration switches charts
     with hysteresis: enters the g-chart when |h| exceeds ENTER_G and
-    returns when |h| falls below EXIT_G.
+    returns when |h| falls below EXIT_G.  A segment through the singular
+    point x = 0 raises StepFailureError before anything is integrated.
     Returns a :class:`SolutionTrace` whose dense g-chart segments support
     pole refinement.
     """
     state = np.asarray(state, dtype=complex)
     x0 = complex(x0)
+    points = [x0] + [complex(p) for p in path]
+    for a, b in zip(points, points[1:]):
+        z = a.conjugate() * b  # real and <= 0 when 0 lies on [a, b]
+        if z.imag == 0 and z.real <= 0:
+            raise StepFailureError("segment %s -> %s passes through the "
+                                   "singular point x = 0" % (a, b))
     chart = "h"
     trace = SolutionTrace()
     trace.samples.append((x0, state.copy(), chart))
@@ -349,8 +357,8 @@ def far_field_init(C, x0):
             -(N + 2))
         # optimal-truncation floor: the least term of the divergent series
         # is reached near order |x| and has size ~ 2 pi S e^{-|x|}, with
-        # S = sqrt(6/(5 pi)) / (2 sqrt(pi)) the Borel singularity constant
-        S = mp.sqrt(mp.mpf(6) / (5 * mp.pi)) / (2 * mp.sqrt(mp.pi))
+        # S = Im mu / (2 sqrt(pi)) the Borel singularity constant
+        S = mp.im(mu_closed_form()) / (2 * mp.sqrt(mp.pi))
         err += float(2 * mp.pi * S * mp.exp(-abs(xm)))
         if C != 0:
             Cm = mp.mpc(C)

@@ -24,7 +24,12 @@ from boutroux.cycles import (
     solve_J_ode,
     solve_stok2,
 )
-from boutroux.errors import DegenerateCycleError, NoIntegerConsistencyError
+from boutroux.errors import (
+    CycleBreakdownError,
+    DegenerateCycleError,
+    MatchFailureError,
+    NoIntegerConsistencyError,
+)
 
 S_GRID = np.linspace(-1.25, -0.15, 20)
 
@@ -111,6 +116,19 @@ class TestPeriodTable:
         tab = solve_J_ode(np.linspace(-0.5, -0.1, 5))
         assert np.all(np.isfinite(tab.Jhat / tab.J))
 
+    def test_continuation_through_singular_point_fails(self):
+        """The segment -0.5 -> -1.5 runs through rho's pole s = -4/3."""
+        with pytest.raises(MatchFailureError,
+                           match="period ODE continuation failed"):
+            solve_J_ode([-0.5, -1.5])
+
+    def test_branch_flip_of_quadrature_detected(self):
+        """The quadrature's principal root at u0 = -4 flips sign where
+        s - 16/3 crosses the negative real axis; the continued J does not."""
+        with pytest.raises(MatchFailureError,
+                           match="deviates from quadrature"):
+            solve_J_ode([-0.3 + 0.3j, -0.3 - 0.3j])
+
 
 class TestPoincareMap:
     X0 = 50 * cmath.exp(-1j * math.pi / 2 * 1.05)
@@ -131,6 +149,33 @@ class TestPoincareMap:
         b = poincare_step(self.X0, -0.1, nsteps=1024)
         assert abs(a[0] - b[0]) < 1e-8
         assert abs(a[1] - b[1]) < 1e-10
+
+    def test_pinned_values(self):
+        """One step and a 25-cycle run reproduce recorded map values, so a
+        change of the RK4 stage nodes shows."""
+        x1, s1 = poincare_step(self.X0, -0.1)
+        x_ref = -12.470029333992708 - 50.80748212998418j
+        s_ref = -0.13952046721861616 + 0.16118533766281035j
+        assert abs(x1 - x_ref) <= 1e-14 * abs(x_ref)
+        assert abs(s1 - s_ref) <= 1e-14 * abs(s_ref)
+        states = run_cycles(self.X0, -0.1, 25)
+        assert len(states) == 26
+        x_ref = -170.83682812632344 - 62.75485571795528j
+        s_ref = -1.1693650960928208 + 0.34275616935455716j
+        assert abs(states[-1].x_n - x_ref) <= 1e-13 * abs(x_ref)
+        assert abs(states[-1].s_n - s_ref) <= 1e-13 * abs(s_ref)
+
+    def test_breakdown_reroutes_once(self):
+        """R = 0 at the base node: the step reroutes onto the contour
+        shifted by 0.15i, and a breakdown there is not rerouted again."""
+        u0 = complex(-2 + 2 * np.exp(1j * np.pi))
+        s0 = -(u0**3 / 3 + u0**2)
+        x1, s1 = poincare_step(self.X0, s0)
+        assert np.isfinite(x1) and np.isfinite(s1)
+        assert (x1, s1) == poincare_step(self.X0, s0,
+                                         cycle=Cycle(center=-2 + 0.15j))
+        with pytest.raises(CycleBreakdownError):
+            poincare_step(self.X0, s0, _rerouted=True)
 
 
 class TestRunCycles:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boutroux.errors import StepFailureError
 from boutroux.odes import (
     EQ4,
     arc_path,
@@ -138,6 +139,18 @@ class TestIntegratePath:
         tr = integrate_path(10.0, [0.1, 0.0], [10.0])
         x, s = tr.endpoint
         assert x == 10.0 and s[0] == 0.1
+
+    def test_path_through_origin_refused(self, monkeypatch):
+        """A segment through the singular point x = 0 is refused before
+        any segment is integrated."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr("boutroux.odes.solve_ivp", no_solve)
+        for x0, path in ((1.0, [-1.0]), (2.0 + 1j, [1j, -1j, 3.0]),
+                         (1.0, [0.0])):
+            with pytest.raises(StepFailureError, match="x = 0"):
+                integrate_path(x0, (0.1, 0), path)
 
     def test_against_far_field(self):
         """Integrating outward tracks the formal solution."""
