@@ -1,10 +1,10 @@
 """Constant-beyond-all-orders extraction and Stokes-multiplier measurement.
 
 The constant C multiplying the exponentially small level of a solution is
-recovered as the limit of e^x x^{1/2} (h(x) - optimally truncated series)
-along a schedule of |x| values; the Stokes multiplier mu is measured from
-the difference of the two lateral Borel sums and cross-checked against the
-closed form i sqrt(6/(5 pi)).
+recovered as the limit of e^x x^{1/2} (h(x) - L H0(x)) along a schedule of
+|x| values, where L H0 is the lateral Borel sum of the bare power series;
+the Stokes multiplier mu is measured from the difference of the two lateral
+Borel sums and cross-checked against the closed form i sqrt(6/(5 pi)).
 """
 
 from __future__ import annotations
@@ -15,43 +15,25 @@ import mpmath as mp
 import numpy as np
 
 from .errors import FitDegenerateError, NoConvergenceError
-from .series import h0_series
-
-_KERNEL_CACHE = {}
 
 
-def _truncation_kernel(r, kmax, theta):
-    """Universal truncation residue e^x sqrt(x) (L H0(x) - trunc(x)).
+def _truncation_kernel(x, theta):
+    """The lateral Borel sum L H0(x) in the frame of direction theta.
 
-    L is the lateral Borel sum in the frame of direction theta (the ray
-    on the Borel-summable side, phi of sign opposite to theta).  This is
-    the C-independent part of the extraction sequence and is subtracted
-    exactly rather than fitted.
+    L sums on the Borel-summable side, on the ray phi of sign opposite to
+    theta.  h - L H0 is the exponentially small part that C multiplies.
     """
-    key = (float(r), int(kmax), round(float(theta), 12), mp.mp.dps)
-    if key not in _KERNEL_CACHE:
-        from .borel import laplace_ray, solve_H0_convolution
+    from .borel import laplace_ray, solve_H0_convolution
 
-        x = mp.mpf(r) * mp.exp(1j * mp.mpf(theta))
-        # the tritronquee's callers pass mp.pi / 8, so this ray reuses
-        # their Laplace engine
-        phi = mp.pi / 8 if theta < 0 else -mp.pi / 8
-        h = laplace_ray(solve_H0_convolution(), x, phi=phi, tol=1e-18)
-        _KERNEL_CACHE[key] = complex(
-            mp.exp(x) * mp.sqrt(x) * (h - truncated_series(x, kmax)))
-    return _KERNEL_CACHE[key]
+    # the tritronquee's callers pass mp.pi / 8, so this ray reuses their
+    # Laplace engine
+    phi = mp.pi / 8 if theta < 0 else -mp.pi / 8
+    return laplace_ray(solve_H0_convolution(), x, phi=phi, tol=1e-18)
 
 
 def mu_closed_form():
     """mu = i sqrt(6/(5 pi))."""
     return 1j * mp.sqrt(mp.mpf(6) / (5 * mp.pi))
-
-
-def truncated_series(x, kmax):
-    """Sum_{k <= kmax} c_k x^{-k} with the exact coefficients."""
-    if kmax < 4:
-        return mp.mpf(0)
-    return h0_series(kmax)(x)
 
 
 def default_schedule():
@@ -75,13 +57,13 @@ def _richardson3(rs, ws):
 def extract_constant(evaluator, theta, schedule=None, return_info=False):
     """Constant beyond all orders of ``evaluator`` along arg x = theta.
 
-    Computes v_j = e^{x_j} x_j^{1/2} (h(x_j) - truncated series) on the
-    schedule with optimal truncation index floor(|x_j|) (ties broken
-    downward), removes the truncation-noise mode ~ rho^j with
-    rho = e^{Delta (e^{i theta} - 1 - i theta)} by least squares together
-    with a cubic fit in 1/|x|, and cross-checks by 3-level Richardson.
-    (The -i theta term carries the phase of the least term x^{-n} as the
-    optimal index n advances with the schedule.)
+    Computes v_j = e^{x_j} x_j^{1/2} (h(x_j) - L H0(x_j)) on the schedule,
+    with L H0 the lateral Borel sum of ``_truncation_kernel``, fits
+    C + a1/|x| + ... + a4/|x|^4 together with the second-level mode
+    sigma^j |x|^{-1/2}, sigma = e^{-Delta e^{i theta}}, by least squares,
+    and cross-checks by a refit on the tail and by 3-level Richardson.
+    The difference is taken in mpmath: each term of v_j is about 3e5 at
+    |x| = 36.5, so a double-precision difference would lose six digits.
 
     On the Stokes directions theta = 0 or +-pi plain evaluation is
     ill-posed; the average of the two off-axis extractions (the
@@ -103,23 +85,15 @@ def extract_constant(evaluator, theta, schedule=None, return_info=False):
     vs = []
     for r in rs:
         x = r * mp.exp(1j * mp.mpf(theta))
-        kmax = int(math.floor(float(r)))
-        if float(r) == kmax:  # tie broken downward
-            kmax -= 1
-        v = mp.exp(x) * mp.sqrt(x) * (evaluator(x) - truncated_series(x, kmax))
-        vs.append(complex(v) - _truncation_kernel(r, kmax, theta))
+        vs.append(complex(mp.exp(x) * mp.sqrt(x)
+                          * (evaluator(x) - _truncation_kernel(x, theta))))
 
-    delta = float(rs[1] - rs[0])
-    rho = complex(mp.exp(delta * (mp.exp(1j * mp.mpf(theta)) - 1
-                                  - 1j * mp.mpf(theta))))
     # second-level mode: C^2 e^{-x} x^{-1/2} t_2 contributes sigma^j
-    sigma = complex(mp.exp(-delta * mp.exp(1j * mp.mpf(theta))))
+    sigma = complex(mp.exp(-(rs[1] - rs[0]) * mp.exp(1j * mp.mpf(theta))))
     cols = []
     for j, r in enumerate(rs):
         u = 1.0 / float(r)
-        su = u ** 0.5  # Stirling prefactor of the least term
-        cols.append([1.0, u, u * u, u ** 3,
-                     rho ** j * su, rho ** j * su * u, sigma ** j * su])
+        cols.append([1.0, u, u * u, u ** 3, u ** 4, sigma ** j * u ** 0.5])
     A = np.array(cols, dtype=complex)
     b = np.array(vs, dtype=complex)
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -127,8 +101,7 @@ def extract_constant(evaluator, theta, schedule=None, return_info=False):
 
     # cross-checks: refit on the tail, and Richardson on the cleaned values
     coef_tail, *_ = np.linalg.lstsq(A[3:], b[3:], rcond=None)
-    cleaned = [vs[j] - A[j, 4] * coef[4] - A[j, 5] * coef[5]
-               - A[j, 6] * coef[6] for j in range(len(rs))]
+    cleaned = [vs[j] - A[j, 5] * coef[5] for j in range(len(rs))]
     rich = complex(_richardson3([float(r) for r in rs], cleaned))
     err = max(abs(C - complex(coef_tail[0])), abs(C - rich))
     if err > 1e-3:
@@ -138,7 +111,7 @@ def extract_constant(evaluator, theta, schedule=None, return_info=False):
                          "C_richardson": rich, "values": vs})
     if return_info:
         return C, {"err_est": err, "richardson": rich, "values": vs,
-                   "rho": rho, "two_sided": False}
+                   "two_sided": False}
     return C
 
 

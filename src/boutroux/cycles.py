@@ -166,10 +166,20 @@ def _jhat_seed(s):
 
 
 def _ode_continue(s0, y0, s1):
-    """Continue (J, J') of J'' = -rho J / 4 along the segment s0 -> s1."""
+    """Continue (J, J') of J'' = -rho J / 4 along the segment s0 -> s1.
+
+    A segment through a singular point s = 0 or s = -4/3 of rho raises
+    MatchFailureError before anything is integrated.
+    """
     s0, s1 = complex(s0), complex(s1)
     if s1 == s0:
         return np.asarray(y0, dtype=complex)
+    for p, name in ((0.0, "0"), (-4.0 / 3.0, "-4/3")):
+        z = (s0 - p).conjugate() * (s1 - p)  # real, <= 0 when p in [s0, s1]
+        if z.imag == 0 and z.real <= 0:
+            raise MatchFailureError(
+                "period ODE continuation failed: segment %s -> %s passes "
+                "through the singular point s = %s" % (s0, s1, name))
     ds = s1 - s0
 
     def fun(t, y):

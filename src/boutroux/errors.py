@@ -46,7 +46,12 @@ class StepFailureError(BoutrouxError):
 
 
 class ChartDeadlockError(BoutrouxError):
-    """Both solution charts are singular at the same point (bug sentinel)."""
+    """Chart switching made no headway.
+
+    Raised for more than ``odes.MAX_SWITCHES`` switches on one path, for a
+    switch that makes no progress, and when ``locate_pole`` finds no pole
+    near its prediction.
+    """
 
 
 class OutsideRegionError(BoutrouxError):

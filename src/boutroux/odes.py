@@ -366,9 +366,10 @@ def far_field_init(C, x0):
             for k in range(1, FAR_FIELD_LEVELS + 1):
                 sk = level_series(k, min(N + 20, 60))
                 ek = mp.exp(-k * xm)
-                term = Cm**k * ek * sk(xm)
+                skx = sk(xm)
+                term = Cm**k * ek * skx
                 h += term
-                hp += Cm**k * ek * (sk.differentiate()(xm) - k * sk(xm))
+                hp += Cm**k * ek * (sk.differentiate()(xm) - k * skx)
                 sizes.append(abs(term))
             # first omitted level estimated by the observed geometric decay
             if len(sizes) >= 2 and sizes[-2] > 0:

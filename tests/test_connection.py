@@ -20,7 +20,6 @@ from boutroux.connection import (
     extract_constant,
     measure_mu,
     mu_closed_form,
-    truncated_series,
     verify_second_stokes_line,
 )
 from boutroux.errors import FitDegenerateError, NoConvergenceError
@@ -42,20 +41,6 @@ def tritronquee(x):
     far above the ~1e-22 weighted continuation error on this ray).
     """
     return laplace_ray(solve_H0_convolution(), x, phi=-mp.pi / 8, tol=1e-20)
-
-
-class TestTruncatedSeries:
-    def test_matches_series_evaluation(self):
-        from boutroux.series import h0_series
-
-        x = mp.mpc(20, 5)
-        assert abs(truncated_series(x, 12) - h0_series(12)(x)) < 1e-30
-
-    def test_truncation_index(self):
-        # k <= 5 keeps only c_4 x^{-4} + c_5 x^{-5}, and c_5 = 0
-        x = mp.mpf(10)
-        v = truncated_series(x, 5)
-        assert abs(v - mp.mpf(-392) / 625 * x ** -4) < 1e-35
 
 
 class TestExtractConstant:
@@ -89,12 +74,19 @@ class TestExtractConstant:
         assert abs(c - complex(mu_closed_form()) / 2) < 2e-6
 
     def test_truncation_rule_robustness(self):
-        """Shifting the truncation index by one does not move the limit."""
+        """Shifting the schedule by -1 does not move the limit."""
         sched = default_schedule()
         c1 = extract_constant(tritronquee, math.pi / 4, schedule=sched)
-        shifted = [r - 1.0 for r in sched]  # floor(|x|) drops by one
+        shifted = [r - 1.0 for r in sched]
         c2 = extract_constant(tritronquee, math.pi / 4, schedule=shifted)
         assert abs(c1 - c2) < 1e-6
+
+    def test_six_point_schedule(self):
+        """Six points are enough for the six-parameter fit."""
+        ev = lambda x: sum_transseries(1, x, phi=-mp.pi / 8, tol=1e-18)
+        sched = [20.5 + 2.0 * k for k in range(6)]
+        c = extract_constant(ev, math.pi / 4, schedule=sched)
+        assert abs(c - 1) < 1e-6
 
     def test_short_schedule_rejected(self):
         with pytest.raises(ValueError):

@@ -117,10 +117,12 @@ class TestPeriodTable:
         assert np.all(np.isfinite(tab.Jhat / tab.J))
 
     def test_continuation_through_singular_point_fails(self):
-        """The segment -0.5 -> -1.5 runs through rho's pole s = -4/3."""
-        with pytest.raises(MatchFailureError,
-                           match="period ODE continuation failed"):
-            solve_J_ode([-0.5, -1.5])
+        """The segments -0.5 -> -1.5 and -0.5 -> 0.5 run through rho's
+        poles s = -4/3 and s = 0."""
+        for grid in ([-0.5, -1.5], [-0.5, 0.5]):
+            with pytest.raises(MatchFailureError,
+                               match="period ODE continuation failed"):
+                solve_J_ode(grid)
 
     def test_branch_flip_of_quadrature_detected(self):
         """The quadrature's principal root at u0 = -4 flips sign where

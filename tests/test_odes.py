@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boutroux.errors import StepFailureError
+from boutroux.errors import ChartDeadlockError, StepFailureError
 from boutroux.odes import (
     EQ4,
     arc_path,
@@ -237,6 +237,19 @@ class TestPoleDetection:
                                  rtol=1e-11, atol=1e-13)
             _, s = tr2.endpoint
             assert abs(s[0] - 12 / d ** 2) < 0.15 * abs(12 / d ** 2)
+
+    def test_chart_thrashing_raises(self, monkeypatch):
+        """Crossing the n = 5 pole there, back and there again switches
+        charts three times, one more than the patched limit allows."""
+        from boutroux.twoscale import predict_pole
+
+        monkeypatch.setattr("boutroux.odes.MAX_SWITCHES", 2)
+        pred = complex(predict_pole(5, 1.0).x_n)
+        x0, a = pred + 4.0 + 0.3j, pred - 1.0 + 0.3j
+        s0, _ = far_field_init(1.0, x0)
+        with pytest.raises(ChartDeadlockError,
+                           match="more than 2 chart switches"):
+            integrate_path(x0, s0, [a, x0, a], rtol=1e-11, atol=1e-13)
 
     def test_no_poles_on_quiet_path(self):
         x0 = 25.0 * cmath.exp(0.25j * cmath.pi)
