@@ -39,7 +39,7 @@ from .errors import (
     StokesDirectionError,
 )
 from .germ import BorelGerm
-from .series import EQP_COEFF, borel_transform, level_series
+from .series import EQP_COEFF, _append, borel_transform, level_series
 
 # Precision of a Pade table value: the final division of numerator by
 # denominator and the guard run at PADE_DPS digits.  Empirically a
@@ -78,17 +78,22 @@ def solve_H0_convolution(N=DEFAULT_GERM_ORDER):
     contributes b_{n-2}/n at order p^n.  Returns a :class:`BorelGerm` with
     exact rational coefficients b_3..b_N (germ.coeffs[i] is the coefficient
     of p^{3+i}).
+
+    The recurrence runs on beta_i = i! b_i, kept as integer numerators over
+    one common denominator den (rescaled when a new beta's denominator does
+    not divide it).  The factorial weights of H*H/2 then drop out:
+    n! b_n = (n-1)^2 beta_{n-2} - sum_{i+j=n-1} beta_i beta_j / 2 is one
+    integer dot product over 2 den^2, and b_n = beta_n / n!.
     """
-    b = [Fraction(0)] * (N + 1)
-    for n in range(3, N + 1):
-        rhs = b[n - 2] * Fraction(1, n) - (EQP_COEFF / 6 if n == 3 else 0)
-        for i in range(3, n - 3):
-            j = n - 1 - i  # 3 <= j <= n - 4
-            if b[i] and b[j]:
-                rhs += b[i] * b[j] * Fraction(factorial(i) * factorial(j),
-                                              2 * factorial(n))
-        b[n] = b[n - 2] - rhs
-    return BorelGerm(lead2=6, coeffs=tuple(b[3:]))
+    beta, nums = [], []  # beta_{3+i} = nums[i] / den
+    den = _append(beta, nums, 1, EQP_COEFF)  # 3! a4 / 6
+    for n in range(4, N + 1):
+        conv = sum(nums[i] * nums[n - 7 - i] for i in range(n - 6))
+        prev = nums[n - 5] if n >= 5 else 0
+        den = _append(beta, nums, den, Fraction(
+            2 * den * (n - 1) ** 2 * prev - conv, 2 * den * den))
+    return BorelGerm(lead2=6, coeffs=tuple(
+        f / factorial(3 + i) for i, f in enumerate(beta[:max(N - 2, 0)])))
 
 
 @lru_cache(maxsize=None)

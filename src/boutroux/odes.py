@@ -14,6 +14,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,8 @@ from scipy.integrate import solve_ivp
 
 from .connection import mu_closed_form
 from .errors import ChartDeadlockError, StepFailureError
-from .series import EQP_COEFF, h0_coefficients, h0_series, level_series
+from .series import (EQP_COEFF, _horner_mpf, h0_coefficients, h0_series,
+                     level_series)
 
 # x^{-4} coefficient of the h-equation right-hand side h'' = h + h^2/2 + ...
 EQ4 = float(-EQP_COEFF)
@@ -333,6 +335,16 @@ def _refine_pole(x_c, state, tol):
 FAR_FIELD_LEVELS = 14
 
 
+@lru_cache(maxsize=None)
+def _seed_series(k, N, prec):
+    """(lead2, mpf coefficients at prec bits) of h0 (k = 0) or of h_k to
+    order x^{-N}, and the same of its derivative."""
+    s = h0_series(N) if k == 0 else level_series(k, N)
+    with mp.workprec(prec):
+        return tuple((t.lead2, tuple(mp.mpf(c.numerator) / mp.mpf(
+            c.denominator) for c in t.coeffs)) for t in (s, s.differentiate()))
+
+
 def far_field_init(C, x0):
     """Seed (h, h') at large |x0| from the truncated transseries.
 
@@ -349,9 +361,7 @@ def far_field_init(C, x0):
         N -= 1
     with mp.workdps(40):
         xm = mp.mpc(x0)
-        s0 = h0_series(N)
-        h = s0(xm)
-        hp = s0.differentiate()(xm)
+        h, hp = (_horner_mpf(*t, xm) for t in _seed_series(0, N, mp.mp.prec))
         tail = h0_coefficients(N + 2)[-1]
         err = abs(mp.mpf(tail.numerator) / tail.denominator) * abs(xm) ** (
             -(N + 2))
@@ -364,12 +374,12 @@ def far_field_init(C, x0):
             Cm = mp.mpc(C)
             sizes = []
             for k in range(1, FAR_FIELD_LEVELS + 1):
-                sk = level_series(k, min(N + 20, 60))
+                skx, dskx = (_horner_mpf(*t, xm) for t in
+                             _seed_series(k, min(N + 20, 60), mp.mp.prec))
                 ek = mp.exp(-k * xm)
-                skx = sk(xm)
                 term = Cm**k * ek * skx
                 h += term
-                hp += Cm**k * ek * (sk.differentiate()(xm) - k * skx)
+                hp += Cm**k * ek * (dskx - k * skx)
                 sizes.append(abs(term))
             # first omitted level estimated by the observed geometric decay
             if len(sizes) >= 2 and sizes[-2] > 0:

@@ -14,13 +14,18 @@ This module generates, in exact rational arithmetic,
 
 All exponents are tracked in half-integer units (stored doubled as ints) so
 x^{-k/2} prefactors need no special casing.
+
+The recurrences run on integers: a table is its numerators over one common
+denominator, the lcm of its coefficients' (see :func:`_append`).  A Cauchy
+product is then an integer dot product, and a new coefficient is one
+reduced ``Fraction``, one gcd instead of one per arithmetic operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import mpmath as mp
 
@@ -48,12 +53,8 @@ class FormalSeries:
 
     def __call__(self, x):
         """Evaluate with mpmath at complex x (Horner in 1/x)."""
-        x = mp.mpmathify(x)
-        u = 1 / x
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * u + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-        return acc * x ** (mp.mpf(self.lead2) / 2)
+        return _horner_mpf(self.lead2, [mp.mpf(c.numerator) / mp.mpf(
+            c.denominator) for c in self.coeffs], x)
 
     def differentiate(self):
         """Termwise d/dx."""
@@ -70,11 +71,36 @@ class FormalSeries:
         return FormalSeries(self.lead2 + exp2, self.coeffs)
 
 
+def _horner_mpf(lead2, cs, x):
+    """sum_i cs[i] x^{lead2/2 - i} for mpf coefficients cs, Horner in 1/x."""
+    x = mp.mpmathify(x)
+    u = 1 / x
+    acc = mp.mpf(0)
+    for c in reversed(cs):
+        acc = acc * u + c
+    return acc * x ** (mp.mpf(lead2) / 2)
+
+
 # The coefficients do not depend on the truncation order, so one exact
 # table per a4 (per level and a4) is kept, at the longest order asked for
-# so far, and shorter orders get its leading slice.
+# so far, and shorter orders get its leading slice.  An entry is
+# (coefficients, numerators, den): the Fraction tuple and the same
+# coefficients as integers over their common denominator den.
 _H0_TABLES = {}
 _LEVEL_TABLES = {}
+
+
+def _append(fracs, nums, den, f):
+    """Append the Fraction f to ``fracs`` and its numerator over ``den`` to
+    ``nums``; returns the common denominator, rescaled (with every entry of
+    ``nums``) to lcm(den, f.denominator) when f's does not divide it."""
+    s = f.denominator // gcd(den, f.denominator)
+    if s > 1:
+        nums[:] = [v * s for v in nums]
+        den *= s
+    fracs.append(f)
+    nums.append(f.numerator * (den // f.denominator))
+    return den
 
 
 def h0_coefficients(N, eqp_coeff=EQP_COEFF):
@@ -86,21 +112,25 @@ def h0_coefficients(N, eqp_coeff=EQP_COEFF):
     """
     if N < 4:
         raise ValueError("need N >= 4")
-    a4 = Fraction(eqp_coeff)
-    if len(_H0_TABLES.get(a4, ())) < N - 3:
+    return _h0_entry(N, Fraction(eqp_coeff))[0][:N - 3]
+
+
+def _h0_entry(N, a4):
+    if len(_H0_TABLES.get(a4, ((),))[0]) < N - 3:
         _H0_TABLES[a4] = _h0_table(N, a4)
-    return _H0_TABLES[a4][:N - 3]
+    return _H0_TABLES[a4]
 
 
 def _h0_table(N, eqp_coeff):
-    c = {k: Fraction(0) for k in range(N + 1)}
-    for n in range(4, N + 1):
-        conv = sum((c[i] * c[n - i] for i in range(4, n - 3)), Fraction(0))
-        val = (n - 2) ** 2 * c[n - 2] - conv / 2
-        if n == 4:
-            val += eqp_coeff  # h'' + ... - a4 x^{-4} = 0 forces c_4 = a4
-        c[n] = val
-    return tuple(c[k] for k in range(4, N + 1))
+    # c_{4+i} = nums[i] / den; h'' + ... - a4 x^{-4} = 0 forces c_4 = a4
+    fracs, nums = [], []
+    den = _append(fracs, nums, 1, eqp_coeff)
+    for n in range(5, N + 1):
+        conv = sum(nums[i] * nums[n - 8 - i] for i in range(n - 7))
+        prev = nums[n - 6] if n >= 6 else 0
+        den = _append(fracs, nums, den, Fraction(
+            2 * den * (n - 2) ** 2 * prev - conv, 2 * den * den))
+    return tuple(fracs), tuple(nums), den
 
 
 def h0_series(N):
@@ -124,62 +154,48 @@ def transseries_level(k, N, eqp_coeff=EQP_COEFF):
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    key = (k, Fraction(eqp_coeff))
-    if len(_LEVEL_TABLES.get(key, ())) < N + 1:
-        _LEVEL_TABLES[key] = _level_table(k, N, key[1])
-    return FormalSeries(0, _LEVEL_TABLES[key][:N + 1])
+    return FormalSeries(0, _level_entry(k, N, Fraction(eqp_coeff))[0][:N + 1])
+
+
+def _level_entry(k, N, a4):
+    key = (k, a4)
+    if len(_LEVEL_TABLES.get(key, ((),))[0]) < N + 1:
+        _LEVEL_TABLES[key] = _level_table(k, N, a4)
+    return _LEVEL_TABLES[key]
 
 
 def _level_table(k, N, eqp_coeff):
-    """Coefficients a_0..a_N of t_k by the recurrence above."""
-    c = {4 + i: v for i, v in enumerate(h0_coefficients(N + 4, eqp_coeff)) if v}
+    """Coefficients a_0..a_N of t_k by the recurrence above.
+
+    With c_{4+i} = C[i]/E, a_m = A[m]/D and R_n = rhs[n]/R, the order-n
+    relation is one integer numerator over 4 R E D times the pivot."""
+    _, C, E = _h0_entry(N + 4, eqp_coeff)
     # (1/2) sum_{0<i<k} t_i t_{k-i}: each unordered pair once, and only the
     # middle square t_{k/2}^2 halved
-    rhs = [Fraction(0)] * (N + 3)
+    pairs = []
     for i in range(1, k // 2 + 1):
-        ti = transseries_level(i, N, eqp_coeff)
-        tj = transseries_level(k - i, N, eqp_coeff)
-        for a in range(min(len(ti.coeffs), N + 3)):
-            ca = ti.coeffs[a]
-            if not ca:
-                continue
-            if 2 * i == k:
-                ca /= 2
-            for b in range(min(len(tj.coeffs), N + 3 - a)):
-                rhs[a + b] += ca * tj.coeffs[b]
+        (_, ti, di), (_, tj, dj) = (_level_entry(j, N, eqp_coeff)
+                                    for j in (i, k - i))
+        pairs.append((ti, tj, di * dj * (2 if 2 * i == k else 1)))
+    R = lcm(*(d for _, _, d in pairs))
+    rhs = [sum(R // d * sum(ti[a] * tj[n - a] for a in range(n + 1))
+               for ti, tj, d in pairs) for n in range(N + 1)]
 
-    a = [Fraction(0)] * (N + 1)
-
-    def lhs_known(n, upto):
-        """LHS terms at order n involving a_m with m <= upto."""
-        total = Fraction(0)
-        k2 = Fraction(k * k)
-        if n <= upto:
-            total += (k2 - 1) * a[n]
-        if 0 <= n - 1 <= upto:
-            total += (2 * k * (n - 1) + k * k - k) * a[n - 1]
-        if 0 <= n - 2 <= upto:
-            total += ((n - 2) * (n - 1) + k2 / 4 - (1 - k) * (n - 2)) * a[n - 2]
-        for j, cj in c.items():
-            if 0 <= n - j <= upto:
-                total -= cj * a[n - j]
-        return total
-
+    fracs, A, D = [], [], 1
     if k == 1:
-        a[0] = Fraction(1)
-        for n in range(2, N + 2):
-            # order-n relation; unknown is a_{n-1} with pivot 2(n-1)
-            if n - 1 > N:
-                break
-            known = lhs_known(n, n - 2)
-            r = rhs[n] if n < len(rhs) else Fraction(0)
-            a[n - 1] = (r - known) / (2 * (n - 1))
-    else:
-        for n in range(0, N + 1):
-            known = lhs_known(n, n - 1)
-            r = rhs[n] if n < len(rhs) else Fraction(0)
-            a[n] = (r - known) / (k * k - 1)
-    return tuple(a)
+        D = _append(fracs, A, D, Fraction(1))
+    for m in range(len(A), N + 1):
+        n = m + (k == 1)  # the order-n relation fixes a_m
+        # 4 times the a_{n-1} and a_{n-2} terms, over 4 D
+        lin = (4 * (n - 2) * (n - 1) + k * k - 4 * (1 - k) * (n - 2)) \
+            * A[n - 2] if n >= 2 else 0
+        if k > 1 and n >= 1:
+            lin += 4 * (2 * k * (n - 1) + k * k - k) * A[n - 1]
+        cA = sum(C[i] * A[n - 4 - i] for i in range(n - 3))  # over E D
+        num = 4 * R * cA - R * E * lin + (4 * E * D * rhs[n] if k > 1 else 0)
+        pivot = k * k - 1 if k > 1 else 2 * m
+        D = _append(fracs, A, D, Fraction(num, 4 * R * E * D * pivot))
+    return tuple(fracs), tuple(A), D
 
 
 def level_series(k, N):

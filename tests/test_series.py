@@ -4,7 +4,9 @@ The oracle for every recurrence here is direct substitution into the
 h-equation with sympy, which shares no code with the production recurrences.
 """
 
+import hashlib
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boutroux import series
+from boutroux.borel import germ_Hk, solve_H0_convolution
 from boutroux.series import (
     EQP_COEFF,
     FormalSeries,
@@ -152,6 +155,80 @@ class TestExactTables:
             for k, t in zip(levels, ts):
                 assert transseries_level(k, N, a4).coeffs == t
                 assert transseries_level(k, N, eqp_coeff=a4).coeffs == t
+
+
+    def test_tables_bit_identical(self):
+        """SHA-256 of repr of the exact tables: H0 to p^200, h0 to x^-204,
+        the 24 level germs and six levels of a perturbed a4.  Any change to
+        a recurrence that moves one coefficient fails here."""
+        def digest(obj):
+            return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+        a4 = EQP_COEFF + Fraction(1, 10)
+        assert digest(solve_H0_convolution(200).coeffs) == \
+            "30d549dd61833448aa97677cae2430b227b341069f2af7e1e1f6d5cd29023e32"
+        assert digest(h0_coefficients(204)) == \
+            "2eae2fc85e6ac49667abaead7679c062c5953fc81db8e603f75e1816ceaf2ce9"
+        assert digest(tuple(germ_Hk(k).coeffs for k in range(1, 25))) == \
+            "84aa5c89cff4ec73a71f216ca875eda8f79bc4862df2e29800212e51bb32de53"
+        assert digest(tuple(transseries_level(k, 40, a4).coeffs
+                            for k in range(1, 7))) == \
+            "c7201746b3d4ee3d95f6530184c1ad38bb92b59eac6c0c599f24517ba4bfed35"
+
+    @given(st.fractions(min_value=-2, max_value=2, max_denominator=50),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_tables_match_fraction_recurrences(self, a4, N):
+        """The integer tables equal the recurrences of h0_coefficients and
+        transseries_level transcribed in plain Fraction arithmetic."""
+        c, ts = fraction_recurrences(a4, N, 4)
+        assert h0_coefficients(N + 4, a4) == tuple(c[4:])
+        for k, t in enumerate(ts, 1):
+            assert transseries_level(k, N, a4).coeffs == tuple(t)
+
+    def test_H0_convolution_matches_fraction_recurrence(self):
+        """b_3..b_N of solve_H0_convolution equal the convolution equation
+        solved one Fraction operation at a time; below N = 3 there are
+        none."""
+        for N in range(16):
+            b = [Fraction(0)] * (N + 1)
+            for n in range(3, N + 1):
+                rhs = b[n - 2] / n - (EQP_COEFF / 6 if n == 3 else 0)
+                for i in range(3, n - 3):
+                    j = n - 1 - i
+                    rhs += b[i] * b[j] * Fraction(
+                        factorial(i) * factorial(j), 2 * factorial(n))
+                b[n] = b[n - 2] - rhs
+            assert solve_H0_convolution(N).coeffs == tuple(b[3:])
+
+
+def fraction_recurrences(a4, N, K):
+    """c_0..c_{N+4} of h0 and a_0..a_N of t_1..t_K, one Fraction operation
+    at a time, as the docstrings of h0_coefficients and transseries_level
+    state the recurrences."""
+    c = [Fraction(0)] * (N + 5)
+    for n in range(4, N + 5):
+        conv = sum((c[i] * c[n - i] for i in range(4, n - 3)), Fraction(0))
+        c[n] = (n - 2) ** 2 * c[n - 2] - conv / 2 + (a4 if n == 4 else 0)
+    ts = []
+    for k in range(1, K + 1):
+        a = [Fraction(1 if k == 1 else 0)] + [Fraction(0)] * N
+
+        def at(i):
+            return a[i] if i >= 0 else 0
+
+        for m in range(k == 1, N + 1):
+            n = m + (k == 1)  # for k = 1 the order-n relation fixes a_{n-1}
+            r = sum((ts[i - 1][j] * ts[k - i - 1][n - j]
+                     for i in range(1, k) for j in range(n + 1)),
+                    Fraction(0)) / 2
+            known = (2 * k * (n - 1) + k * k - k) * at(n - 1) if k > 1 else 0
+            known += ((n - 2) * (n - 1) + Fraction(k * k, 4)
+                      - (1 - k) * (n - 2)) * at(n - 2)
+            known -= sum(c[j] * at(n - j) for j in range(4, n + 1))
+            a[m] = (r - known) / (k * k - 1 if k > 1 else 2 * m)
+        ts.append(a)
+    return c, ts
 
 
 class TestFormalSeriesAlgebra:
