@@ -124,7 +124,6 @@ class GermEvaluator:
     """
 
     def __init__(self, germ: BorelGerm):
-        self.germ = germ
         ctx = decimal.Context(prec=SOLVE_DIGITS)
         cs = [ctx.divide(Decimal(c.numerator), Decimal(c.denominator))
               for c in map(Fraction, germ.coeffs)]
@@ -342,16 +341,15 @@ class LaplaceEngine:
             self._g[s] = (-p, lead * self.evaluator(p))
         return self._g[s]
 
-    def integrate(self, x, tmax, deriv):
+    def integrate(self, x, tmax):
         """int e^{-p x} Y(p) p^{lead2/2} dp along the ray, up to the panel
-        edge at or past tmax (times -p for the x-derivative), and its error
-        estimate."""
+        edge at or past tmax, and its error estimate."""
         # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
         half_int = self.lead2 % 2
 
         def f(s):
             minus_p, g = self._node(s)
-            return mp.exp(minus_p * x) * g * (minus_p if deriv else 1)
+            return mp.exp(minus_p * x) * g
 
         val, err = _panel_sum(f, mp.sqrt(tmax) if half_int else tmax)
         val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \
@@ -385,15 +383,6 @@ def laplace_ray(germ, x, phi=None, tol=None):
     aims at; ``tol`` defaults to a few ulps of the ambient dps and sets the
     truncation point of the ray and the Pade-degradation guard.
     """
-    return _ray_sum(germ, x, phi, tol, deriv=False)
-
-
-def laplace_ray_derivative(germ, x, phi=None, tol=None):
-    """d/dx of the Laplace integral: same ray with an extra factor -p."""
-    return _ray_sum(germ, x, phi, tol, deriv=True)
-
-
-def _ray_sum(germ, x, phi, tol, deriv):
     x = mp.mpmathify(x)
     if phi is None:
         # steepest-decay ray, but kept at least pi/4 off the cuts (same
@@ -424,7 +413,7 @@ def _ray_sum(germ, x, phi, tol, deriv):
         raise QuadratureError("ray truncation point is not finite")
     engine.evaluator.check_ray(phi, tmax, decay, tol * 100)
 
-    val, err = engine.integrate(x, tmax, deriv)
+    val, err = engine.integrate(x, tmax)
     if err > tol * (1 + abs(val)) * 100:
         raise QuadratureError("ray quadrature error %.3e above target"
                               % float(err), err_est=err)
@@ -546,22 +535,11 @@ def sum_transseries(C, x, phi=None, tol=None, return_info=False):
     C e^{-x} x^{-1/2} leaves the convergence domain, or when KMAX levels
     do not bring the term below ``tol``.
     """
-    info = _sum_levels(C, x, phi, tol, deriv=False)
-    return info if return_info else info.value
-
-
-def sum_transseries_derivative(C, x, phi=None, tol=None):
-    """x-derivative of the summed transseries (for ODE seeding)."""
-    return _sum_levels(C, x, phi, tol, deriv=True).value
-
-
-def _sum_levels(C, x, phi, tol, deriv):
     x = mp.mpmathify(x)
     C = mp.mpmathify(C)
     if tol is None:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
-    ray = laplace_ray_derivative if deriv else laplace_ray
-    total = ray(solve_H0_convolution(), x, phi=phi, tol=tol)
+    total = laplace_ray(solve_H0_convolution(), x, phi=phi, tol=tol)
     prev = mp.inf
     term = mp.mpf(0)
     k = 0
@@ -573,12 +551,7 @@ def _sum_levels(C, x, phi, tol, deriv):
         prefac = C**k * mp.exp(-k * x)
         # the ray only needs enough accuracy for the level's contribution
         level_tol = tol / min(abs(prefac), mp.mpf(1))
-        if deriv:
-            term = prefac * (
-                laplace_ray_derivative(g, x, phi=phi, tol=level_tol)
-                - k * laplace_ray(g, x, phi=phi, tol=level_tol))
-        else:
-            term = prefac * laplace_ray(g, x, phi=phi, tol=level_tol)
+        term = prefac * laplace_ray(g, x, phi=phi, tol=level_tol)
         total += term
         if abs(term) < tol:
             break
@@ -591,29 +564,7 @@ def _sum_levels(C, x, phi, tol, deriv):
         raise NonConvergentSumError(
             "transseries not converged after %d levels (|term| = %.3e)"
             % (KMAX, float(abs(term))))
-    return TransseriesSum(value=total, levels_used=k,
+    info = TransseriesSum(value=total, levels_used=k,
                           last_term=float(abs(term)))
+    return info if return_info else info.value
 
-
-# ---------------------------------------------------------------------------
-# Toy fixtures with closed forms, for validating the machinery
-
-
-def toy_geometric_germ():
-    """Germ of 1/(1+p): Laplace sum is exactly e^x E_1(x)."""
-    return BorelGerm(lead2=0, coeffs=tuple(
-        Fraction((-1) ** n) for n in range(DEFAULT_GERM_ORDER)))
-
-
-def toy_geometric_exact(x):
-    return mp.exp(x) * mp.e1(x)
-
-
-def toy_halfint_germ():
-    """Germ of p^{-1/2}/(1+p): Laplace sum is pi e^x erfc(sqrt(x))."""
-    return BorelGerm(lead2=-1, coeffs=tuple(
-        Fraction((-1) ** n) for n in range(DEFAULT_GERM_ORDER)))
-
-
-def toy_halfint_exact(x):
-    return mp.pi * mp.exp(x) * mp.erfc(mp.sqrt(x))

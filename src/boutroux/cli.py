@@ -58,23 +58,28 @@ def _write_csv(cfg, path, columns, rows):
             fh.write(text + "\n")
 
 
-def _parse_complex(text):
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(float(text), 0.0)
+def _parse_complex(ctx, param, text):
+    re_s, sep, im_s = text.partition(",")
+    try:
+        return complex(float(re_s), float(im_s) if sep else 0.0)
+    except ValueError:
+        raise click.BadParameter("expected re or re,im; got %r" % text)
 
 
-def _parse_grid(text):
-    a, b, n = text.split(":")
-    return np.linspace(float(a), float(b), int(n))
+def _parse_grid(ctx, param, text):
+    try:
+        a, b, n = text.split(":")
+        return np.linspace(float(a), float(b), int(n))
+    except ValueError:
+        raise click.BadParameter("expected a:b:n; got %r" % text)
 
 
-def _parse_range(text):
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return range(int(a), int(b) + 1)
-    return [int(text)]
+def _parse_range(ctx, param, text):
+    a, sep, b = text.partition("..")
+    try:
+        return range(int(a), int(b if sep else a) + 1)
+    except ValueError:
+        raise click.BadParameter("expected n or a..b; got %r" % text)
 
 
 def handle_errors(fn):
@@ -149,23 +154,22 @@ def borel(obj, order):
 
 
 @main.command("sum")
-@click.option("--C", "c_str", default="0", show_default=True,
-              help="transseries constant, re[,im]")
+@click.option("--C", "C", default="0", show_default=True,
+              callback=_parse_complex, help="transseries constant, re[,im]")
 @click.option("--phi", default=None, type=float,
               help="Laplace ray angle in radians; required lateral choice "
                    "(e.g. pi/4) when the grid lies on the real axis")
 @click.option("--grid", default="8:20:13", show_default=True,
-              help="|x| grid a:b:n")
+              callback=_parse_grid, help="|x| grid a:b:n")
 @click.option("--arg-x", default=0.0, show_default=True, type=float)
 @click.pass_obj
 @handle_errors
-def sum_cmd(obj, c_str, phi, grid, arg_x):
+def sum_cmd(obj, C, phi, grid, arg_x):
     """Borel-summed transseries values on an |x| grid."""
     from .borel import sum_transseries
 
-    C = _parse_complex(c_str)
     rows = []
-    for r in _parse_grid(grid):
+    for r in grid:
         x = mp.mpf(r) * mp.exp(1j * mp.mpf(arg_x))
         h = sum_transseries(C, x, phi=phi)
         rows.append((float(r), float(mp.re(h)), float(mp.im(h))))
@@ -173,17 +177,17 @@ def sum_cmd(obj, c_str, phi, grid, arg_x):
 
 
 @main.command()
-@click.option("--C", "c_str", default="1", show_default=True)
+@click.option("--C", "C", default="1", show_default=True,
+              callback=_parse_complex)
 @click.option("--radius", default=30.0, show_default=True)
 @click.option("--arg0", default=math.pi / 4, show_default=True, type=float)
 @click.option("--arg1", default=-math.pi / 4, show_default=True, type=float)
 @click.pass_obj
 @handle_errors
-def integrate(obj, c_str, radius, arg0, arg1):
+def integrate(obj, C, radius, arg0, arg1):
     """Integrate along an arc, reporting the trace and detected poles."""
     from .odes import arc_path, detect_poles, far_field_init, integrate_path
 
-    C = _parse_complex(c_str)
     x0 = radius * cmath.exp(1j * arg0)
     state, err = far_field_init(C, x0)
     trace = integrate_path(x0, state, arc_path(radius, arg0, arg1),
@@ -195,17 +199,18 @@ def integrate(obj, c_str, radius, arg0, arg1):
 
 
 @main.command()
-@click.option("--C", "c_str", default="1", show_default=True)
-@click.option("--n", "n_range", default="5..15", show_default=True)
+@click.option("--C", "C", default="1", show_default=True,
+              callback=_parse_complex)
+@click.option("--n", "n_range", default="5..15", show_default=True,
+              callback=_parse_range)
 @click.pass_obj
 @handle_errors
-def poles(obj, c_str, n_range):
+def poles(obj, C, n_range):
     """Predicted vs detected pole locations of the first array."""
     from .odes import locate_pole
 
-    C = _parse_complex(c_str)
     rows, gaps, ns = [], [], []
-    for n in _parse_range(n_range):
+    for n in n_range:
         pred, rec = locate_pole(n, C)
         gap = abs(rec.location - pred)
         rows.append((n, pred.real, pred.imag,
@@ -248,9 +253,10 @@ def stokes(obj):
 
 
 @main.command()
-@click.option("--x0", default="50", show_default=True,
+@click.option("--x0", default=50.0, show_default=True,
               help="|x0| (arg fixed at -pi/2 * 1.05)")
-@click.option("--s0", default="-0.1", show_default=True)
+@click.option("--s0", default="-0.1", show_default=True,
+              callback=_parse_complex)
 @click.option("--steps", default=None, type=int,
               help="cycle count (default |x0|/2)")
 @click.pass_obj
@@ -259,11 +265,9 @@ def invariants(obj, x0, s0, steps):
     """Adiabatic invariants Q and K_shifted along a cycle run."""
     from .cycles import run_cycles
 
-    r = float(x0)
-    x_init = r * cmath.exp(-1j * math.pi / 2 * 1.05)
-    s_init = _parse_complex(s0)
-    N = steps if steps is not None else int(r / 2)
-    states = run_cycles(x_init, s_init, N)
+    x_init = x0 * cmath.exp(-1j * math.pi / 2 * 1.05)
+    N = steps if steps is not None else int(x0 / 2)
+    states = run_cycles(x_init, s0, N)
     rows = [(st.n, st.x_n.real, st.x_n.imag, st.s_n.real, st.s_n.imag,
              st.Q.real, st.Q.imag, st.K_shifted.real, st.K_shifted.imag)
             for st in states]

@@ -36,6 +36,12 @@ def mu_closed_form():
     return 1j * mp.sqrt(mp.mpf(6) / (5 * mp.pi))
 
 
+# S = Im mu / (2 sqrt(pi)), the strength of H0's Borel singularities at
+# p = +-1, as a float that does not depend on the ambient precision
+with mp.workdps(30):
+    BOREL_S = float(mp.im(mu_closed_form()) / (2 * mp.sqrt(mp.pi)))
+
+
 def default_schedule():
     """|x| = 16.5, 18.5, ..., 36.5."""
     return [16.5 + 2.0 * j for j in range(11)]

@@ -144,19 +144,24 @@ def rho(s):
     return 5.0 / (3.0 * s * (3.0 * s + 4.0))
 
 
+_JHAT_BASE = -0.05
+
+
 def _jhat_series():
     """Frobenius series of the solution vanishing at s = 0 (indicial root
     1), normalized to slope 1: Jhat = sum a_n s^n with a_1 = 1 and
     a_{n+1} = -(36n(n-1) + 5) a_n / (48n(n+1)), from J'' + rho J / 4 = 0
-    times 36 s^2 + 48 s; Jhat = s - 5/96 s^2 + 385/27648 s^3 - ..."""
-    a = [Fraction(1)]
-    for n in range(1, 4):
+    times 36 s^2 + 48 s; Jhat = s - 5/96 s^2 + 385/27648 s^3 - ...
+    Terms are added until the next one is below 1e-17 at the seed point
+    s = _JHAT_BASE: ten terms, as they shrink like (3|s|/4)^n."""
+    a, n = [Fraction(1)], 1
+    while abs(a[-1]) * abs(_JHAT_BASE) ** n >= 1e-17:
         a.append(-(36 * n * (n - 1) + 5) * a[-1] / (48 * n * (n + 1)))
-    return tuple(float(c) for c in a)
+        n += 1
+    return tuple(float(c) for c in a[:-1])
 
 
 _JHAT_SERIES = _jhat_series()
-_JHAT_BASE = -0.05
 
 
 def _jhat_seed(s):

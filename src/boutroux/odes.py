@@ -16,14 +16,12 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .connection import mu_closed_form
+from .connection import BOREL_S
 from .errors import ChartDeadlockError, StepFailureError
-from .series import (EQP_COEFF, _horner_mpf, h0_coefficients, h0_series,
-                     level_series)
+from .series import EQP_COEFF, h0_coefficients, h0_series, level_series
 
 # x^{-4} coefficient of the h-equation right-hand side h'' = h + h^2/2 + ...
 EQ4 = float(-EQP_COEFF)
@@ -333,65 +331,84 @@ def _refine_pole(x_c, state, tol):
 # Far-field seeding
 
 FAR_FIELD_LEVELS = 14
+# longest truncation order of a seed series; shorter orders take a slice
+SEED_ORDER = 60
+EPS = math.ulp(1.0)
 
 
 @lru_cache(maxsize=None)
-def _seed_series(k, N, prec):
-    """(lead2, mpf coefficients at prec bits) of h0 (k = 0) or of h_k to
-    order x^{-N}, and the same of its derivative."""
-    s = h0_series(N) if k == 0 else level_series(k, N)
-    with mp.workprec(prec):
-        return tuple((t.lead2, tuple(mp.mpf(c.numerator) / mp.mpf(
-            c.denominator) for c in t.coeffs)) for t in (s, s.differentiate()))
+def _seed_series(k):
+    """(lead2, coefficients, coefficients of the derivative) of h0 (k = 0)
+    or of h_k to order x^{-SEED_ORDER}, each coefficient rounded once to a
+    float; the derivative of a leading slice is the same slice of these."""
+    s = h0_series(SEED_ORDER) if k == 0 else level_series(k, SEED_ORDER)
+    return (s.lead2, tuple(map(float, s.coeffs)),
+            tuple(map(float, s.differentiate().coeffs)))
+
+
+def _seed_terms(k, n, x):
+    """Value and derivative at x of the first n terms of _seed_series(k) by
+    Horner's rule in 1/x, and a rounding bound for each: 4 n eps times the
+    sum of |term| (Higham's gamma_2n, doubled for complex arithmetic)."""
+    lead2, cs, dcs = _seed_series(k)
+    u, au = 1 / x, 1 / abs(x)
+    v = d = 0j
+    mv = md = 0.0
+    for c, dc in zip(reversed(cs[:n]), reversed(dcs[:n])):
+        v, d = v * u + c, d * u + dc
+        mv, md = mv * au + abs(c), md * au + abs(dc)
+    scale = x ** (lead2 / 2)
+    bound = 4 * n * EPS * abs(scale)
+    return v * scale, d * scale * u, bound * mv, bound * md * au
 
 
 def far_field_init(C, x0):
     """Seed (h, h') at large |x0| from the truncated transseries.
 
-    Uses the exact series coefficients at optimal-ish truncation and
-    FAR_FIELD_LEVELS exponential levels; returns (state, err_est) where
-    err_est is the magnitude of the first omitted power term plus the
-    first omitted exponential level.  Warns when the
-    estimate exceeds 1e-8; superseded by the Borel-summed evaluators
-    when those are affordable.
+    Sums the exact coefficients, rounded to floats, in complex double at
+    optimal-ish truncation N ~ |x0| with FAR_FIELD_LEVELS exponential
+    levels; returns (state, err_est) where err_est adds the first omitted
+    power term, the optimal-truncation floor, the first omitted level and
+    the rounding bound of the sums.  Warns when it exceeds 1e-8.
+
+    The Borel-summed transseries is not used as a seed: at the seeds of
+    locate_pole (n = 5, 10, 15, C = 1) and 30 digits, sum_transseries needs
+    17 levels and 1.2-3.6 s per seed, against 0.2-0.3 ms here, and the two
+    agree to 2.2e-13.
     """
     x0 = complex(x0)
-    N = int(min(max(abs(x0), 8), 60))
+    N = int(min(max(abs(x0), 8), SEED_ORDER))
     if N % 2:
         N -= 1
-    with mp.workdps(40):
-        xm = mp.mpc(x0)
-        h, hp = (_horner_mpf(*t, xm) for t in _seed_series(0, N, mp.mp.prec))
-        tail = h0_coefficients(N + 2)[-1]
-        err = abs(mp.mpf(tail.numerator) / tail.denominator) * abs(xm) ** (
-            -(N + 2))
-        # optimal-truncation floor: the least term of the divergent series
-        # is reached near order |x| and has size ~ 2 pi S e^{-|x|}, with
-        # S = Im mu / (2 sqrt(pi)) the Borel singularity constant
-        S = mp.im(mu_closed_form()) / (2 * mp.sqrt(mp.pi))
-        err += float(2 * mp.pi * S * mp.exp(-abs(xm)))
-        if C != 0:
-            Cm = mp.mpc(C)
-            sizes = []
-            for k in range(1, FAR_FIELD_LEVELS + 1):
-                skx, dskx = (_horner_mpf(*t, xm) for t in
-                             _seed_series(k, min(N + 20, 60), mp.mp.prec))
-                ek = mp.exp(-k * xm)
-                term = Cm**k * ek * skx
-                h += term
-                hp += Cm**k * ek * (dskx - k * skx)
-                sizes.append(abs(term))
-            # first omitted level estimated by the observed geometric decay
-            if len(sizes) >= 2 and sizes[-2] > 0:
-                err += float(sizes[-1] * min(sizes[-1] / sizes[-2],
-                                             mp.mpf(1)))
-            elif sizes:
-                err += float(sizes[-1])
-        state = np.array([complex(h), complex(hp)])
+    h, hp, rh, rhp = _seed_terms(0, N - 3, x0)  # c_4..c_N
+    rounding = rh + rhp
+    tail = float(h0_coefficients(N + 2)[-1])
+    err = abs(tail) * abs(x0) ** (-(N + 2))
+    # optimal-truncation floor: the least term of the divergent series is
+    # reached near order |x| and has size ~ 2 pi S e^{-|x|}, with S the
+    # Borel singularity constant
+    err += 2 * math.pi * BOREL_S * math.exp(-abs(x0))
+    if C != 0:
+        q = complex(C) * cmath.exp(-x0)
+        n = min(N + 20, SEED_ORDER) + 1  # a_0..a_{N+20}
+        pref = 1
+        sizes = []
+        for k in range(1, FAR_FIELD_LEVELS + 1):
+            s, ds, rs, rds = _seed_terms(k, n, x0)
+            pref *= q
+            term = pref * s
+            h += term
+            hp += pref * (ds - k * s)
+            rounding += abs(pref) * ((k + 1) * rs + rds)
+            sizes.append(abs(term))
+        # first omitted level estimated by the observed geometric decay
+        err += sizes[-1] * min(sizes[-1] / sizes[-2], 1.0) \
+            if sizes[-2] > 0 else sizes[-1]
+    err += rounding
     if err > 1e-8:
         warnings.warn("far-field seed error estimate %.2e exceeds 1.00e-08; "
-                      "move the seed outward" % float(err))
-    return state, float(err)
+                      "move the seed outward" % err)
+    return np.array([h, hp]), err
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,12 @@ class FormalSeries:
 
     def __call__(self, x):
         """Evaluate with mpmath at complex x (Horner in 1/x)."""
-        return _horner_mpf(self.lead2, [mp.mpf(c.numerator) / mp.mpf(
-            c.denominator) for c in self.coeffs], x)
+        x = mp.mpmathify(x)
+        u = 1 / x
+        acc = mp.mpf(0)
+        for c in reversed(self.coeffs):
+            acc = acc * u + mp.mpf(c.numerator) / mp.mpf(c.denominator)
+        return acc * x ** (mp.mpf(self.lead2) / 2)
 
     def differentiate(self):
         """Termwise d/dx."""
@@ -69,16 +73,6 @@ class FormalSeries:
     def shift(self, exp2):
         """Multiply by x^{exp2/2}."""
         return FormalSeries(self.lead2 + exp2, self.coeffs)
-
-
-def _horner_mpf(lead2, cs, x):
-    """sum_i cs[i] x^{lead2/2 - i} for mpf coefficients cs, Horner in 1/x."""
-    x = mp.mpmathify(x)
-    u = 1 / x
-    acc = mp.mpf(0)
-    for c in reversed(cs):
-        acc = acc * u + c
-    return acc * x ** (mp.mpf(lead2) / 2)
 
 
 # The coefficients do not depend on the truncation order, so one exact
@@ -178,8 +172,8 @@ def _level_table(k, N, eqp_coeff):
                                     for j in (i, k - i))
         pairs.append((ti, tj, di * dj * (2 if 2 * i == k else 1)))
     R = lcm(*(d for _, _, d in pairs))
-    rhs = [sum(R // d * sum(ti[a] * tj[n - a] for a in range(n + 1))
-               for ti, tj, d in pairs) for n in range(N + 1)]
+    rhs = [sum(R // d * _cauchy(ti, tj, n) for ti, tj, d in pairs)
+           for n in range(N + 1)]
 
     fracs, A, D = [], [], 1
     if k == 1:
@@ -198,41 +192,43 @@ def _level_table(k, N, eqp_coeff):
     return tuple(fracs), tuple(A), D
 
 
+def _cauchy(ti, tj, n):
+    """sum_{a=0}^n ti[a] tj[n-a]; for the middle square (ti is tj, the one
+    cached table of t_{k/2}) each product with a != n-a is formed once."""
+    if ti is not tj:
+        return sum(ti[a] * tj[n - a] for a in range(n + 1))
+    half = sum(ti[a] * ti[n - a] for a in range((n + 1) // 2))
+    return 2 * half + (ti[n // 2] ** 2 if n % 2 == 0 else 0)
+
+
 def level_series(k, N):
     """h_k = x^{-k/2} t_k as a half-integer-exponent series."""
     return transseries_level(k, N).shift(-k)
 
 
-def borel_transform(s: FormalSeries, alpha=None) -> BorelGerm:
+def borel_transform(s: FormalSeries) -> BorelGerm:
     """Borel transform of x^{-alpha} sum c_n x^{-n} -> germ at p = 0.
 
-    Maps c_n to c_n p^{n+alpha-1} / Gamma(n+alpha).  ``alpha`` defaults to
-    minus the leading exponent of ``s`` and must be positive.  For
-    half-integer alpha the rational part of 1/Gamma is kept exact and the
-    common 1/sqrt(pi) factor is recorded on the germ.
+    Maps c_n to c_n p^{n+alpha-1} / Gamma(n+alpha), where alpha, minus the
+    leading exponent of ``s``, must be positive.  For half-integer alpha
+    the rational part of 1/Gamma is kept exact and the common 1/sqrt(pi)
+    factor is recorded on the germ.
     """
-    alpha2 = -s.lead2 if alpha is None else int(2 * Fraction(alpha))
-    if alpha2 != -s.lead2:
-        raise ValueError("alpha must match the leading exponent of the series")
+    alpha2 = -s.lead2
     if alpha2 <= 0:
         raise ValueError("alpha must be positive")
-    half = bool(alpha2 % 2)
     out = []
     for n, cn in enumerate(s.coeffs):
         g = _gamma_rational(alpha2 + 2 * n)  # Gamma(n + alpha) [/sqrt(pi)]
         out.append(cn / g)
-    return BorelGerm(lead2=alpha2 - 2, coeffs=tuple(out), sqrtpi=half)
+    return BorelGerm(lead2=alpha2 - 2, coeffs=tuple(out),
+                     sqrtpi=bool(alpha2 % 2))
 
 
 def _gamma_rational(m2):
-    """Gamma(m2/2) as a Fraction; for odd m2 the sqrt(pi) factor is dropped.
-
-    Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!).
-    """
+    """Gamma(m2/2) for m2 >= 1 as a Fraction; for odd m2 the sqrt(pi)
+    factor is dropped: Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)."""
     if m2 % 2 == 0:
         return Fraction(factorial(m2 // 2 - 1))
     n = (m2 - 1) // 2
-    if n >= 0:
-        return Fraction(factorial(2 * n), 4 ** n * factorial(n))
-    # Gamma(-1/2) etc. via reflection; not needed for alpha > 0 germs
-    raise ValueError("negative half-integer Gamma not supported")
+    return Fraction(factorial(2 * n), 4 ** n * factorial(n))

@@ -146,3 +146,19 @@ class TestCli:
         res = runner.invoke(main, ["verify", "--full"])
         assert res.exit_code == 2
         assert "No such option" in res.output
+
+    @pytest.mark.parametrize("args, option", [
+        (["sum", "--grid", "20,30"], "--grid"),
+        (["sum", "--C", "1,2,3"], "--C"),
+        (["poles", "--n", "5..x"], "--n"),
+        (["invariants", "--s0", "-0.1,i"], "--s0"),
+    ])
+    def test_malformed_option_is_usage_error(self, runner, args, option):
+        """A malformed value ends in click's usage error naming the
+        option, with a nonzero exit code and no traceback."""
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Usage:" in res.output
+        assert "Invalid value for '%s'" % option in res.output
+        assert "Traceback" not in res.output

@@ -112,6 +112,23 @@ class TestPeriodTable:
         assert abs(val + 0.01) < 1e-4  # Jhat(s) = s + O(s^2)
         assert abs(der - 1.0) < 0.01
 
+    def test_jhat_matches_hypergeometric_closed_form(self):
+        """Jhat(s) = s 2F1(1/6, 5/6; 2; -3s/4), the solution of
+        s(3s + 4) J'' + (5/12) J = 0 with Jhat(0) = 0, Jhat'(0) = 1; value
+        and slope to the ODE floor, on real and complex s."""
+        import mpmath as mp
+
+        def closed(s):
+            return s * mp.hyp2f1(mp.mpf(1) / 6, mp.mpf(5) / 6, 2, -3 * s / 4)
+
+        with mp.workdps(30):
+            for s in (-0.1, -0.3, -0.2 - 0.05j, -0.6 + 0.15j, -1.0 - 0.1j):
+                val, der = jhat_at(s)
+                ref, dref = (complex(f(mp.mpc(s))) for f in
+                             (closed, lambda z: mp.diff(closed, z)))
+                assert abs(val - ref) <= 1e-11 * abs(ref)
+                assert abs(der - dref) <= 1e-11 * abs(dref)
+
     def test_K_well_defined_near_zero(self):
         tab = solve_J_ode(np.linspace(-0.5, -0.1, 5))
         assert np.all(np.isfinite(tab.Jhat / tab.J))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from boutroux.errors import ChartDeadlockError, StepFailureError
 from boutroux.odes import (
     EQ4,
+    FAR_FIELD_LEVELS,
     arc_path,
     detect_poles,
     far_field_init,
@@ -258,6 +259,35 @@ class TestPoleDetection:
         assert detect_poles(tr) == []
 
 
+def borel_derivative(C, x, step=mp.mpf("1e-7")):
+    """Centered difference of the Borel-summed transseries at x."""
+    from boutroux.borel import sum_transseries
+
+    return (sum_transseries(C, x + step) - sum_transseries(C, x - step)) \
+        / (2 * step)
+
+
+def seed_reference(C, x0):
+    """The truncated transseries of far_field_init, (h, h') summed at 40
+    digits by FormalSeries: h0 to order N ~ |x0| and FAR_FIELD_LEVELS
+    levels to order min(N + 20, 60)."""
+    from boutroux.series import h0_series, level_series
+
+    N = int(min(max(abs(x0), 8), 60))
+    N -= N % 2
+    with mp.workdps(40):
+        x = mp.mpc(x0)
+        s = h0_series(N)
+        h, hp = s(x), s.differentiate()(x)
+        for k in range(1, FAR_FIELD_LEVELS + 1 if C else 1):
+            t = level_series(k, min(N + 20, 60))
+            pref = mp.mpc(C) ** k * mp.exp(-k * x)
+            tk = t(x)
+            h += pref * tk
+            hp += pref * (t.differentiate()(x) - k * tk)
+        return complex(h), complex(hp)
+
+
 class TestFarFieldInit:
     def test_zero_C_matches_borel(self):
         from boutroux.borel import laplace_ray, solve_H0_convolution
@@ -269,6 +299,7 @@ class TestFarFieldInit:
             assert abs(s[0] - complex(exact)) < 1e-13
             # estimate includes the e^{-Re x} optimal-truncation floor
             assert abs(s[0] - complex(exact)) < err < 1e-8
+            assert abs(s[1] - complex(borel_derivative(0, x))) < 1e-13
 
     def test_transseries_C_matches_borel(self):
         from boutroux.borel import sum_transseries
@@ -278,6 +309,35 @@ class TestFarFieldInit:
             s, err = far_field_init(1.0, complex(x))
             exact = sum_transseries(1, x)
             assert abs(s[0] - complex(exact)) < 1e-11
+            assert abs(s[1] - complex(borel_derivative(1, x))) < 1e-13
+
+    def test_independent_of_ambient_precision(self):
+        from boutroux import odes
+
+        x0 = 21.0 + 21.0j
+        seen = []
+        for dps in (15, 50):
+            odes._seed_series.cache_clear()
+            with mp.workdps(dps):
+                state, err = far_field_init(1.0, x0)
+            seen.append((state.tolist(), err))
+        assert seen[0] == seen[1]
+
+    def test_matches_40_digit_sum(self):
+        """Complex-double Horner moves the seed by rounding only: within
+        1e-15 relative of the same truncated sum at 40 digits, at the seeds
+        of locate_pole, continue_around and criterion 5."""
+        from boutroux.twoscale import predict_pole
+
+        x45 = 30 * cmath.exp(1j * math.pi / 4)
+        seeds = [(1.0, complex(predict_pole(n, 1.0).x_n) + 4.0 + 0.3j)
+                 for n in (5, 10, 15)] + [(0.0, x45), (1.0, x45)]
+        for C, x0 in seeds:
+            state, err = far_field_init(C, x0)
+            for got, ref in zip(state, seed_reference(C, x0)):
+                assert abs(got - ref) <= 1e-15 * abs(ref)
+            # the rounding bound of the Horner sums is part of the estimate
+            assert err > 1e-16 * abs(state[0])
 
     def test_warns_when_too_close(self):
         with pytest.warns(UserWarning):
