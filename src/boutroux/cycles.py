@@ -28,15 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CycleBreakdownError,
     DegenerateCycleError,
     MatchFailureError,
     NoIntegerConsistencyError,
+    StepFailureError,
 )
-from .odes import EQ4
+from .odes import EQ4, solve_ivp
 
 #: inhomogeneity constant 2 * 392/625 of the s-equation
 S_SOURCE = 2 * EQ4
@@ -170,11 +170,26 @@ def _jhat_seed(s):
     return complex(val), complex(der)
 
 
+def _period_series(c, J, Jp, n):
+    """Taylor coefficients J_0..J_n at s = c of the solution through
+    (J, J'), from (36 s^2 + 48 s) J'' = -5 J at order t^k, s = c + t:
+    P0 (k+1)(k+2) J_{k+2} = -(5 + 36 k(k-1)) J_k - P1 k(k+1) J_{k+1}
+    with P0 = 36 c^2 + 48 c and P1 = 72 c + 48."""
+    a = [complex(J), complex(Jp)]
+    P0, P1 = 36 * c * c + 48 * c, 72 * c + 48
+    for k in range(n - 1):
+        a.append(-((5 + 36 * k * (k - 1)) * a[k] + P1 * k * (k + 1) * a[k + 1])
+                 / (P0 * (k + 1) * (k + 2)))
+    return a
+
+
 def _ode_continue(s0, y0, s1):
     """Continue (J, J') of J'' = -rho J / 4 along the segment s0 -> s1.
 
-    A segment through a singular point s = 0 or s = -4/3 of rho raises
-    MatchFailureError before anything is integrated.
+    Taylor steps of :func:`boutroux.odes.solve_ivp`, bounded by the
+    distance to the singular points s = 0 and s = -4/3 of rho.  A segment
+    through one of them raises MatchFailureError before anything is
+    integrated.
     """
     s0, s1 = complex(s0), complex(s1)
     if s1 == s0:
@@ -185,18 +200,12 @@ def _ode_continue(s0, y0, s1):
             raise MatchFailureError(
                 "period ODE continuation failed: segment %s -> %s passes "
                 "through the singular point s = %s" % (s0, s1, name))
-    ds = s1 - s0
-
-    def fun(t, y):
-        s = s0 + t * ds
-        return [ds * y[1], -ds * rho(s) * y[0] / 4.0]
-
-    sol = solve_ivp(fun, (0.0, 1.0), np.asarray(y0, dtype=complex),
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise MatchFailureError("period ODE continuation failed: %s"
-                                % sol.message)
-    return sol.y[:, -1]
+    try:
+        _, y, _, _ = solve_ivp(_period_series, s0, s1, y0,
+                               singular=(0.0, -4.0 / 3.0))
+    except StepFailureError as exc:
+        raise MatchFailureError("period ODE continuation failed: %s" % exc)
+    return np.array(y)
 
 
 @dataclass

@@ -42,15 +42,15 @@ class QuadratureError(BoutrouxError):
 
 
 class StepFailureError(BoutrouxError):
-    """The adaptive stepper could not meet the local tolerance."""
+    """The Taylor stepper could not advance: non-finite coefficients or a
+    step that underflows, or a segment through the singular point x = 0."""
 
 
 class ChartDeadlockError(BoutrouxError):
     """Chart switching made no headway.
 
-    Raised for more than ``odes.MAX_SWITCHES`` switches on one path, for a
-    switch that makes no progress, and when ``locate_pole`` finds no pole
-    near its prediction.
+    Raised for more than ``odes.MAX_SWITCHES`` switches on one path, and
+    when ``locate_pole`` finds no pole near its prediction.
     """
 
 

@@ -1,11 +1,35 @@
 """Complex-path integration of the normalized equation with pole traversal.
 
-The h-equation is integrated as a first-order system along piecewise-linear
-paths in complex x.  Near poles (double poles with h ~ 12/(x-x0)^2) the
-state switches to the chart g = h(1 + h/3)^{-1}, in which a pole of h is a
-regular point with g = 3, g' = 0; hysteresis thresholds avoid thrashing.
-The module also carries the coordinate map back to the standard Painleve I
-variables.
+Every ODE of the package is integrated by one Taylor-series stepper,
+:func:`solve_ivp`, in complex double, along straight segments in complex
+x.  At a centre c the Taylor coefficients of the solution through the
+current state follow from a short recurrence on the equation multiplied by
+x; for the h-equation, x h'' + h' = x (h + h^2/2) + EQ4 x^{-3} needs one
+Cauchy product for h^2 and the known series of (c + t)^{-3}.  A step with
+local tolerance eps = atol + rtol |y| takes the order
+n = ceil(-ln(eps) / 2) + 1 (20 at eps = 1e-16) and the length
+min_j (eps / |a_j|)^{1/j} over the last two coefficients j = n - 1, n
+(Jorba and Zou, Exp. Math. 14, 2005), bounded by DIST_FRAC times the
+distance to the singular point x = 0; a path that passes just beside
+x = 0 shortens its steps instead of grinding.  Each step's polynomial is
+its dense output.
+
+Near poles (double poles with h ~ 12/(x-x0)^2) the state switches to the
+chart g = h(1 + h/3)^{-1}, in which a pole of h is a regular point with
+g = 3, g' = 0; its recurrence adds the products g'^2 and
+(c + t)^{-3} (3 - g)^2 and the series of g'^2/(3 - g).  A chart event is a
+root of |h| - ENTER_G (h-chart) or |h| - EXIT_G (g-chart) on a step's
+polynomial, found by bisection; the hysteresis between the thresholds
+avoids thrashing.  A pole is refined without further integration: the
+REFINE_ORDER-term g-series at the stored step centre nearest the candidate
+(one where |3 - g| > G_GAP, since the recurrence divides by 3 - g) is
+formed once, and Newton's method runs on its derivative g'.  The module
+also carries the coordinate map back to the standard Painleve I variables.
+
+The Poincare map of :mod:`boutroux.cycles` stays fixed-step RK4 on the
+shared contour table: moving it onto this stepper changes the pinned map
+values of its tests, which then need an independent refined-step
+reference first.
 """
 
 from __future__ import annotations
@@ -15,9 +39,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .connection import BOREL_S
 from .errors import ChartDeadlockError, StepFailureError
@@ -29,6 +53,13 @@ EQ4 = float(-EQP_COEFF)
 ENTER_G = 10.0
 EXIT_G = 5.0
 MAX_SWITCHES = 400
+# the fraction of the distance to the nearest singular point of the
+# equation that one Taylor step may cover
+DIST_FRAC = 0.5
+# terms of the g-series that refines a pole, and the least |3 - g| at its
+# centre (the g recurrence divides by 3 - g)
+REFINE_ORDER = 40
+G_GAP = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +100,136 @@ def g_from_h(state):
     h, hp = state
     oph = 3.0 + h
     return np.array([3 * h / oph, 9 * hp / (oph * oph)])
+
+
+# ---------------------------------------------------------------------------
+# Taylor series of the charts and the stepper
+
+
+def _series_h(c, h, hp, n):
+    """Taylor coefficients a_0..a_n at x = c of the h-chart solution through
+    (h, h'), from x h'' + h' = x (h + h^2/2) + EQ4 x^{-3} at order t^k,
+    x = c + t: c (k+1)(k+2) a_{k+2} + (k+1)^2 a_{k+1}
+    = c F_k + F_{k-1} + e_k with F = h + h^2/2 and e_k the coefficients of
+    EQ4 (c + t)^{-3}."""
+    a = [complex(h), complex(hp)]
+    e = EQ4 / c ** 3
+    F_prev = 0j
+    for k in range(n - 1):
+        F = a[k] + 0.5 * sum(map(mul, a[:k + 1], a[k::-1]))
+        a.append((c * F + F_prev + e - (k + 1) ** 2 * a[k + 1])
+                 / (c * (k + 1) * (k + 2)))
+        F_prev = F
+        e *= -(k + 3) / ((k + 1) * c)
+    return a
+
+
+def _series_g(c, g, v, n):
+    """Taylor coefficients g_0..g_n at x = c of the g-chart solution through
+    (g, g'), from x g'' = x (g + g^2/6) + (EQ4/9) x^{-3} (3 - g)^2 - g'
+    - 2 x q with q = g'^2/(3 - g), whose coefficients follow from
+    (3 - g) q = g'^2 order by order."""
+    a = [complex(g), complex(v)]
+    om0 = 3.0 - a[0]
+    vs, qs, om2, es = [], [], [], []
+    e = EQ4 / (9 * c ** 3)
+    F_prev = q_prev = 0j
+    for k in range(n - 1):
+        vs.append((k + 1) * a[k + 1])
+        es.append(e)
+        sq = sum(map(mul, a[:k + 1], a[k::-1]))
+        om2.append(sq - 6 * a[k] + (9 if k == 0 else 0))
+        q = (sum(map(mul, vs, reversed(vs)))
+             + sum(map(mul, a[1:k + 1], reversed(qs)))) / om0
+        qs.append(q)
+        F = a[k] + sq / 6
+        w = sum(map(mul, es, reversed(om2)))
+        a.append((c * F + F_prev + w - vs[k] - 2 * (c * q + q_prev)
+                  - k * (k + 1) * a[k + 1]) / (c * (k + 1) * (k + 2)))
+        F_prev, q_prev = F, q
+        e *= -(k + 3) / ((k + 1) * c)
+    return a
+
+
+def _horner(cs, t):
+    """Value and derivative at t of the polynomial sum cs[k] t^k."""
+    y = d = 0j
+    for c in reversed(cs):
+        d = d * t + y
+        y = y * t + c
+    return y, d
+
+
+def _accurate_radius(cs, eps):
+    """The Jorba-Zou step rule: the least of (eps / |a_j|)^{1/j} over the
+    last two coefficients, the radius within which they fall below eps."""
+    n = len(cs) - 1
+    r = math.inf
+    for j in (n - 1, n):
+        m = abs(cs[j])
+        if m > 0:
+            r = min(r, (eps / m) ** (1.0 / j))
+    return r
+
+
+def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
+              rtol=1e-15, atol=1e-16):
+    """Taylor-series integration of a second-order equation along the
+    straight segment x0 -> x1 in complex x.
+
+    ``series(c, y, y', n)`` gives the Taylor coefficients 0..n at c of the
+    solution through (y, y').  A step with local tolerance eps = atol +
+    rtol |y| takes the order n = ceil(-ln(eps) / 2) + 1 and the length
+    min_j (eps / |a_j|)^{1/j} over j = n - 1, n (Jorba and Zou), bounded
+    by DIST_FRAC times the distance to the nearest point of ``singular``.
+    The integration stops where ``event(y)`` passes from <= 0 to > 0 at
+    the end of a step, located by bisection on the step's polynomial.
+    Returns (x_end, (y, y') at x_end, steps, hit) with steps a list of
+    (centre, end, coefficients).  Raises StepFailureError when a step
+    yields non-finite coefficients or underflows.
+    """
+    x, x1 = complex(x0), complex(x1)
+    y, yp = complex(y0[0]), complex(y0[1])
+    steps, hit = [], False
+    while x != x1 and not hit:
+        eps = atol + rtol * abs(y)
+        cs = series(x, y, yp, max(4, math.ceil(-0.5 * math.log(eps)) + 1))
+        if not all(map(cmath.isfinite, cs)):
+            raise StepFailureError("Taylor coefficients overflow near "
+                                   "x = %s" % x)
+        r = min(_accurate_radius(cs, eps),
+                DIST_FRAC * min(abs(x - p) for p in singular))
+        dx, end = x1 - x, x1
+        if r < abs(dx):
+            if r <= 4 * math.ulp(abs(x)):
+                raise StepFailureError("step size underflow near x = %s"
+                                       % x)
+            dx *= r / abs(dx)
+            end = x + dx
+        y1, yp1 = _horner(cs, dx)
+        hit = event is not None and event(y) <= 0 < event(y1)
+        if hit:
+            lo, hi = 0.0, 1.0
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                if event(_horner(cs, mid * dx)[0]) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            dx, end = hi * dx, x + hi * dx
+            y1, yp1 = _horner(cs, dx)
+        steps.append((x, end, cs))
+        x, y, yp = end, y1, yp1
+    return x, (y, yp), steps, hit
+
+
+def _enter_g(h):
+    return abs(h) - ENTER_G
+
+
+def _exit_g(g):
+    # EXIT_G - |h| with h = 3g/(3 - g), times |3 - g|: no division at g = 3
+    return EXIT_G * abs(3 - g) - 3 * abs(g)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +282,16 @@ class PoleRecord:
 
 @dataclass
 class TraceSegment:
+    """One Taylor step x0 -> x1: the chart's (y, y') near the step is
+    sum coeffs[k] (x - x0)^k and its derivative."""
+
     x0: complex
     x1: complex
     chart: str
-    t0: float
-    t1: float
-    sol: object  # dense OdeSolution over [t0, t1] in the segment parameter
+    coeffs: list
+
+    def __call__(self, x):
+        return _horner(self.coeffs, complex(x) - self.x0)
 
 
 @dataclass
@@ -166,15 +331,16 @@ def arc_path(radius, theta0, theta1, max_chord=1.5):
             for k in range(1, n + 1)]
 
 
-def integrate_path(x0, state, path, rtol=1e-12, atol=1e-14):
+def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
     """Integrate along the polyline x0 -> path[0] -> ... -> path[-1].
 
-    ``state`` is (h, h') in the h-chart.  The integration switches charts
-    with hysteresis: enters the g-chart when |h| exceeds ENTER_G and
-    returns when |h| falls below EXIT_G.  A segment through the singular
-    point x = 0 raises StepFailureError before anything is integrated.
-    Returns a :class:`SolutionTrace` whose dense g-chart segments support
-    pole refinement.
+    ``state`` is (h, h') in the h-chart; ``rtol`` and ``atol`` set the local
+    error of a Taylor step (see :func:`solve_ivp`).  The integration
+    switches charts with hysteresis: enters the g-chart when |h| exceeds
+    ENTER_G and returns when |h| falls below EXIT_G.  A segment through the
+    singular point x = 0 raises StepFailureError before anything is
+    integrated.  Returns a :class:`SolutionTrace` with a sample at every
+    waypoint and chart switch and one dense segment per Taylor step.
     """
     state = np.asarray(state, dtype=complex)
     x0 = complex(x0)
@@ -189,90 +355,59 @@ def integrate_path(x0, state, path, rtol=1e-12, atol=1e-14):
     trace.samples.append((x0, state.copy(), chart))
     switches = 0
 
-    for target in path:
-        target = complex(target)
+    for target in points[1:]:
         if target == x0:
             continue
-        dx = target - x0
-        tau = 0.0
-        while tau < 1.0:
-            if chart == "h":
-                def fun(t, y, _dx=dx, _x0=x0):
-                    return _dx * rhs_h(_x0 + t * _dx, y)
-
-                def event(t, y):
-                    return abs(y[0]) - ENTER_G
-                event.direction = 1.0
-            else:
-                def fun(t, y, _dx=dx, _x0=x0):
-                    return _dx * rhs_g(_x0 + t * _dx, y)
-
-                def event(t, y):
-                    return abs(3 * y[0] / (3 - y[0])) - EXIT_G
-                event.direction = -1.0
-            event.terminal = True
-
-            sol = solve_ivp(fun, (tau, 1.0), state, method="DOP853",
-                            rtol=rtol, atol=atol, dense_output=True,
-                            events=event)
-            if sol.status == -1:
-                raise StepFailureError(
-                    "integration failed near x = %s: %s"
-                    % (x0 + sol.t[-1] * dx, sol.message))
-            t_end = sol.t[-1]
-            trace.segments.append(TraceSegment(
-                x0=x0, x1=target, chart=chart, t0=tau, t1=t_end, sol=sol.sol))
-            state = sol.y[:, -1].copy()
-            x_here = x0 + t_end * dx
-            if sol.status == 1:  # chart event
+        hit = True
+        while hit:
+            series, event = ((_series_h, _enter_g) if chart == "h"
+                             else (_series_g, _exit_g))
+            x0, state, steps, hit = solve_ivp(series, x0, target, state,
+                                              event=event, rtol=rtol,
+                                              atol=atol)
+            trace.segments.extend(TraceSegment(a, b, chart, cs)
+                                  for a, b, cs in steps)
+            state = np.array(state)
+            if hit:
                 switches += 1
                 if switches > MAX_SWITCHES:
                     raise ChartDeadlockError(
                         "more than %d chart switches; integration is "
-                        "thrashing near x = %s" % (MAX_SWITCHES, x_here))
-                if abs(t_end - tau) == 0.0 and switches > 5:
-                    raise ChartDeadlockError(
-                        "chart switch makes no progress at x = %s" % x_here)
+                        "thrashing near x = %s" % (MAX_SWITCHES, x0))
                 if chart == "h":
-                    state = g_from_h(state)
-                    chart = "g"
+                    state, chart = g_from_h(state), "g"
                 else:
-                    state = h_from_g(state)
-                    chart = "h"
-            tau = t_end
-            trace.samples.append((x_here, state.copy(), chart))
-        x0 = target
+                    state, chart = h_from_g(state), "h"
+            trace.samples.append((x0, state.copy(), chart))
     return trace
 
 
 def detect_poles(trace, tol=1e-10):
-    """Refine g = 3 crossings of a trace's g-chart segments to poles of h.
+    """Refine the g = 3 approaches of a trace's g-chart steps to poles of h.
 
-    Newton iteration on g'(x) = 0 in complex x (a simple zero at the pole
-    since g - 3 ~ -(3/4)(x - x0)^2), re-integrating the chart system along
-    each Newton step.  Returns deduplicated :class:`PoleRecord` entries.
+    Samples |g - 3| on the steps' polynomials; each local minimum below 0.8
+    is refined by :func:`_refine_pole`, and a refinement is kept when its
+    witness |g - 3| is below ``tol``.  Returns deduplicated
+    :class:`PoleRecord` entries.
     """
-    candidates = []
-    for seg in trace.segments:
-        if seg.chart != "g":
-            continue
+    samples = []
+    for seg in (seg for seg in trace.segments if seg.chart == "g"):
         dx = seg.x1 - seg.x0
-        ts = np.linspace(seg.t0, seg.t1, max(8, int(40 * abs(
-            (seg.t1 - seg.t0) * dx)) + 2))
-        vals = seg.sol(ts)
-        dev = np.abs(vals[0] - 3.0)
-        for i in range(1, len(ts) - 1):
-            if dev[i] <= dev[i - 1] and dev[i] <= dev[i + 1] and dev[i] < 0.8:
-                candidates.append((dev[i], seg.x0 + ts[i] * dx,
-                                   vals[:, i].copy()))
+        m = max(8, int(40 * abs(dx)) + 2)
+        samples += [(abs(seg(seg.x0 + dx * j / m)[0] - 3.0),
+                     seg.x0 + dx * j / m) for j in range(m)]
+    candidates = [samples[i] for i in range(1, len(samples) - 1)
+                  if samples[i][0] <= min(samples[i - 1][0],
+                                          samples[i + 1][0])
+                  and samples[i][0] < 0.8]
     # best candidates first; a near-exact pole passage leaves a wake of
     # spurious g ~ 3 samples behind it, suppressed by the exclusion radius
     candidates.sort(key=lambda c: c[0])
     found = []
-    for _, x_c, state in candidates:
+    for _, x_c in candidates:
         if any(abs(x_c - p.location) < 1.0 for p in found):
             continue
-        rec = _refine_pole(x_c, state, tol)
+        rec = _refine_pole(trace, x_c, tol)
         if rec is not None and all(abs(rec.location - p.location) > 1.0
                                    for p in found):
             found.append(rec)
@@ -281,50 +416,44 @@ def detect_poles(trace, tol=1e-10):
     return found
 
 
-def _refine_pole(x_c, state, tol):
-    """Newton on g'(x) = 0 from a nearby chart state.
+def _refine_pole(trace, x_c, tol):
+    """Newton on g'(x) = 0 on the local g-series, from the candidate x_c.
 
-    Steps are capped and each move is integrated with guard events: the
-    g-chart blows up on the h = -3 ring around the pole (|x - x0| ~ 2), so
-    a wandering iterate is abandoned rather than integrated through it.
+    The centre is the stored step start or sample of ``trace`` nearest x_c
+    at which |3 - g| > G_GAP; the REFINE_ORDER-term g-series there is
+    formed once, and Newton's method runs on its derivative (a simple zero
+    at the pole, since g - 3 ~ -(3/4)(x - x0)^2).  Returns None when an
+    iterate leaves the radius within which the series' last two terms stay
+    below 1e-16 max(1, |g|), or when the witness |g - 3| at the limit
+    exceeds ``tol``.
     """
     x_c = complex(x_c)
-    budget = 4.0
-
-    def runaway(t, y):
-        return abs(y[0]) - 50.0
-    runaway.terminal = True
-
-    def escaped(t, y):
-        return abs(3 * y[0] / (3 - y[0])) - 4.0
-    escaped.terminal = True
-
+    states = [(s.x0, s.coeffs[:2], s.chart) for s in trace.segments]
+    centres = [(x, g_from_h(st) if chart == "h" else st)
+               for x, st, chart in states + trace.samples]
+    centres = [(x, gv) for x, gv in centres
+               if cmath.isfinite(gv[0]) and abs(3.0 - gv[0]) > G_GAP]
+    if not centres:
+        return None
+    centre, (g, v) = min(centres, key=lambda c: abs(c[0] - x_c))
+    cs = _series_g(centre, g, v, REFINE_ORDER)
+    radius = _accurate_radius(cs, 1e-16 * max(1.0, abs(g)))
+    dcs = [k * c for k, c in enumerate(cs)][1:]
+    t = x_c - centre
     for _ in range(40):
-        g, v = state
-        vp = rhs_g(x_c, state)[1]
-        if vp == 0:
+        d, dd = _horner(dcs, t)
+        if dd == 0:
             return None
-        step = -v / vp
-        if abs(step) > 0.4:
-            step *= 0.4 / abs(step)
-        if abs(g - 3.0) < tol or abs(step) < 1e-13:
-            # close enough: take the last Newton step without integrating
-            # (|g - 3| at the refined point only shrinks further)
-            return PoleRecord(location=x_c + step,
-                              witness=float(abs(g - 3.0)))
-        budget -= abs(step)
-        if budget < 0:
+        step = -d / dd
+        t += step
+        if abs(t) > radius:
             return None
-        # tolerances are kept above the floating-point noise floor of the
-        # 0/0 ratio v^2/(3-g) near the pole, or the stepper stalls
-        sol = solve_ivp(lambda t, y: step * rhs_g(x_c + t * step, y),
-                        (0.0, 1.0), state, method="DOP853",
-                        rtol=1e-9, atol=1e-11, events=(runaway, escaped))
-        if sol.status != 0:
-            return None
-        x_c = x_c + step
-        state = sol.y[:, -1]
-    return None
+        if abs(step) <= 4 * math.ulp(abs(centre + t)):
+            break
+    witness = abs(_horner(cs, t)[0] - 3.0)
+    if witness > tol:
+        return None
+    return PoleRecord(location=centre + t, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +497,9 @@ def far_field_init(C, x0):
     Sums the exact coefficients, rounded to floats, in complex double at
     optimal-ish truncation N ~ |x0| with FAR_FIELD_LEVELS exponential
     levels; returns (state, err_est) where err_est adds the first omitted
-    power term, the optimal-truncation floor, the first omitted level and
-    the rounding bound of the sums.  Warns when it exceeds 1e-8.
+    power term of h0 and of each level sum, the optimal-truncation floor,
+    the first omitted level and the rounding bound of the sums.  Warns when
+    it exceeds 1e-8.
 
     The Borel-summed transseries is not used as a seed: at the seeds of
     locate_pole (n = 5, 10, 15, C = 1) and 30 digits, sum_transseries needs
@@ -401,6 +531,12 @@ def far_field_init(C, x0):
             hp += pref * (ds - k * s)
             rounding += abs(pref) * ((k + 1) * rs + rds)
             sizes.append(abs(term))
+            # the level series diverge like h0's and are summed past their
+            # least term near order |x|: add each one's first omitted term
+            # (its last term when the stored series ends first)
+            lead2, cs, _ = _seed_series(k)
+            j = min(n, len(cs) - 1)
+            err += abs(pref * cs[j]) * abs(x0) ** (lead2 / 2 - j)
         # first omitted level estimated by the observed geometric decay
         err += sizes[-1] * min(sizes[-1] / sizes[-2], 1.0) \
             if sizes[-2] > 0 else sizes[-1]
@@ -459,21 +595,22 @@ def single_valuedness_residual(trace_ccw, trace_cw):
 
 
 def locate_pole(n, C=1.0):
-    """Detect and refine pole n of the first array, seeded far afield.
+    """Refine pole n of the first array, seeded far afield.
 
-    Returns (predicted, record): the four-order asymptotic prediction and
-    the refined PoleRecord nearest to it.
+    Integrates from the far-field seed at prediction + 4 + 0.3i to
+    prediction + 0.4 + 0.1i, short of the pole, and refines the pole on the
+    local g-series there.  Returns (predicted, record): the four-order
+    asymptotic prediction and the refined PoleRecord.
     """
     from .twoscale import predict_pole
 
     pred = complex(predict_pole(n, C).x_n)
     x0 = pred + 4.0 + 0.3j
     state, _ = far_field_init(C, x0)
-    trace = integrate_path(x0, state, [pred - 1.0 + 0.3j],
-                           rtol=1e-11, atol=1e-13)
-    poles = detect_poles(trace)
-    if not poles:
+    trace = integrate_path(x0, state, [pred + 0.4 + 0.1j])
+    rec = _refine_pole(trace, pred, 1e-10)
+    if rec is None:
         raise ChartDeadlockError("no pole detected near prediction for "
                                  "n = %d" % n)
-    best = min(poles, key=lambda p: abs(p.location - pred))
-    return pred, best
+    trace.poles = [rec]
+    return pred, rec

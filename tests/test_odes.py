@@ -8,6 +8,9 @@ asymptotics cross-checked against detected poles.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -15,16 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boutroux
 from boutroux.errors import ChartDeadlockError, StepFailureError
 from boutroux.odes import (
     EQ4,
     FAR_FIELD_LEVELS,
+    _series_g,
+    _series_h,
     arc_path,
     detect_poles,
     far_field_init,
     g_from_h,
     h_from_g,
     integrate_path,
+    locate_pole,
     map_x_to_z,
     map_z_to_x,
     rhs_g,
@@ -91,6 +98,46 @@ class TestRightHandSides:
             rhs_h(0.0, np.array([1.0, 1.0]))
 
 
+class TestTaylorSeries:
+    """The chart recurrences of the stepper against the right-hand sides
+    and against each other through g = 3h/(3+h)."""
+
+    X, H, HP = 6.0 + 9.0j, 0.4 - 0.3j, -0.2 + 0.5j
+
+    def test_h_series_second_coefficient_is_half_rhs(self):
+        cs = _series_h(self.X, self.H, self.HP, 6)
+        assert cs[:2] == [self.H, self.HP]
+        hpp = rhs_h(self.X, [self.H, self.HP])[1]
+        assert abs(2 * cs[2] - hpp) < 1e-14 * abs(hpp)
+
+    def test_g_series_is_the_h_series_through_the_chart(self):
+        """g = 3 - 9/(3 + h) composed with the h-series term by term (at
+        |h| << 3, where the division loses nothing) is the g-series."""
+        n = 20
+        hs = _series_h(self.X, self.H, self.HP, n)
+        w = [1 / (3 + hs[0])]                    # series of 1/(3 + h)
+        for k in range(1, n + 1):
+            w.append(-sum(hs[i] * w[k - i] for i in range(1, k + 1))
+                     / (3 + hs[0]))
+        want = [3 - 9 * w[0]] + [-9 * c for c in w[1:]]
+        g, v = g_from_h([self.H, self.HP])
+        got = _series_g(self.X, g, v, n)
+        for a, b in zip(got, want):
+            assert abs(a - b) < 1e-13 * max(1.0, abs(b))
+
+    def test_step_bounded_by_distance_to_singular_point(self):
+        """With a loose tolerance the coefficient rule alone would cover
+        the segment; DIST_FRAC of the distance to x = 0 bounds each step."""
+        from boutroux.odes import DIST_FRAC, solve_ivp
+
+        x0, x1 = 4.0 + 0j, 4.0 + 6j
+        _, _, steps, _ = solve_ivp(_series_h, x0, x1, (1e-3, 1e-4),
+                                   rtol=1e-3, atol=1e-3)
+        for c, end, _ in steps:
+            assert abs(end - c) <= DIST_FRAC * abs(c) * (1 + 1e-15)
+        assert len(steps) > 1
+
+
 class TestCoordinateMaps:
     @given(st.floats(5, 50), st.floats(-2.8, 2.8), cnum, cnum)
     @settings(max_examples=50, deadline=None)
@@ -152,6 +199,24 @@ class TestIntegratePath:
                          (1.0, [0.0])):
             with pytest.raises(StepFailureError, match="x = 0"):
                 integrate_path(x0, (0.1, 0), path)
+
+    def test_path_beside_origin_ends(self):
+        """A segment that passes 1e-6 from the singular point x = 0 ends
+        (returns or raises StepFailureError) instead of grinding: the
+        steps shrink with the distance to x = 0.  Run in a subprocess so a
+        regression fails on the timeout instead of hanging the suite."""
+        code = ("from boutroux.errors import StepFailureError\n"
+                "from boutroux.odes import integrate_path\n"
+                "try:\n"
+                "    integrate_path(1.0, (0.1, 0), [-1.0 + 2e-6j])\n"
+                "except StepFailureError:\n"
+                "    pass\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(boutroux.__path__[0])]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=20)
 
     def test_against_far_field(self):
         """Integrating outward tracks the formal solution."""
@@ -259,6 +324,98 @@ class TestPoleDetection:
         assert detect_poles(tr) == []
 
 
+def _mp_conv(p, q, k):
+    return mp.fdot(p[:k + 1], q[k::-1])
+
+
+def _mp_horner(cs, t):
+    y = d = 0
+    for c in reversed(cs):
+        d = d * t + y
+        y = y * t + c
+    return y, d
+
+
+def _mp_series_h(c, h, hp, n, eq4):
+    """Taylor coefficients at c of h'' = h + h^2/2 + eq4 x^-4 - h'/x, with
+    the series of 1/x and x^-4 (the package multiplies by x instead)."""
+    inv = [(-1) ** k / c ** (k + 1) for k in range(n)]
+    inv4 = [(-1) ** k * (k + 1) * (k + 2) * (k + 3) / (6 * c ** (k + 4))
+            for k in range(n)]
+    a, d1 = [h, hp], [hp]
+    for k in range(n - 1):
+        rhs = (a[k] + _mp_conv(a, a, k) / 2 + eq4 * inv4[k]
+               - _mp_conv(inv, d1, k))
+        a.append(rhs / ((k + 1) * (k + 2)))
+        d1.append((k + 2) * a[k + 2])
+    return a
+
+
+def _mp_series_g(c, g, v, n, eq4):
+    """Taylor coefficients at c of the g-chart equation multiplied by
+    x (3 - g): P g'' = P (g + g^2/6) + (eq4/9) x^-3 (3 - g)^3 - (3 - g) g'
+    - 2 x g'^2 with P = x (3 - g) (the package divides by 3 - g)."""
+    inv3 = [(-1) ** k * (k + 1) * (k + 2) / (2 * c ** (k + 3))
+            for k in range(n)]
+    a = [g, v]
+    om, om2, om3, d1, d1sq, F, P, d2 = ([] for _ in range(8))
+    for k in range(n - 1):
+        om.append(3 - a[0] if k == 0 else -a[k])
+        om2.append(_mp_conv(om, om, k))
+        om3.append(_mp_conv(om2, om, k))
+        d1.append((k + 1) * a[k + 1])
+        d1sq.append(_mp_conv(d1, d1, k))
+        F.append(a[k] + _mp_conv(a, a, k) / 6)
+        P.append(c * om[k] + (om[k - 1] if k else 0))
+        rhs = (_mp_conv(P, F, k) + eq4 / 9 * _mp_conv(inv3, om3, k)
+               - _mp_conv(om, d1, k)
+               - 2 * (c * d1sq[k] + (d1sq[k - 1] if k else 0)))
+        rest = mp.fdot(P[1:k + 1], d2[::-1]) if k else 0
+        d2.append((rhs - rest) / P[0])
+        a.append(d2[k] / ((k + 1) * (k + 2)))
+    return a
+
+
+def taylor_pole_reference(n, C=1.0, dps=32, order=50):
+    """Pole n of the first array by an independent 32-digit Taylor run:
+    the far-field seed at prediction + 8 + 0.3i, h-chart steps of local
+    error 10^-dps to prediction + 0.7 + 0.1i, then Newton on g' of the
+    g-series there."""
+    from boutroux.twoscale import predict_pole
+
+    with mp.workdps(dps):
+        pred = complex(predict_pole(n, C).x_n)
+        (h, hp), _ = far_field_init(C, pred + 8 + 0.3j)
+        x, h, hp = mp.mpc(pred + 8 + 0.3j), mp.mpc(h), mp.mpc(hp)
+        x1, eq4 = mp.mpc(pred + 0.7 + 0.1j), mp.mpf(392) / 625
+        eps = mp.mpf(10) ** -dps
+        while x != x1:
+            cs = _mp_series_h(x, h, hp, order, eq4)
+            r = min((eps / abs(cs[j])) ** (mp.mpf(1) / j)
+                    for j in (order - 1, order))
+            step = x1 - x
+            if r < abs(step):
+                step *= r / abs(step)
+            h, hp = _mp_horner(cs, step)
+            x = x1 if step == x1 - x else x + step
+        cs = _mp_series_g(x, 3 * h / (3 + h), 9 * hp / (3 + h) ** 2, order,
+                          eq4)
+        dcs = [k * c for k, c in enumerate(cs)][1:]
+        t = mp.mpc(pred) - x
+        for _ in range(50):
+            d, dd = _mp_horner(dcs, t)
+            t -= d / dd
+        return complex(x + t)
+
+
+class TestLocatePoleAccuracy:
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_against_32_digit_taylor(self, n):
+        _, rec = locate_pole(n, 1.0)
+        ref = taylor_pole_reference(n)
+        assert abs(rec.location - ref) <= 1e-11 * abs(ref)
+
+
 def borel_derivative(C, x, step=mp.mpf("1e-7")):
     """Centered difference of the Borel-summed transseries at x."""
     from boutroux.borel import sum_transseries
@@ -338,6 +495,19 @@ class TestFarFieldInit:
                 assert abs(got - ref) <= 1e-15 * abs(ref)
             # the rounding bound of the Horner sums is part of the estimate
             assert err > 1e-16 * abs(state[0])
+
+    def test_error_estimate_covers_locate_pole_seed(self):
+        """At locate_pole's n = 5 seed the level series carry most of h and
+        are summed past their least term; err_est still covers the
+        distance to the 30-digit Borel-summed transseries."""
+        from boutroux.borel import sum_transseries
+        from boutroux.twoscale import predict_pole
+
+        x0 = complex(predict_pole(5, 1.0).x_n) + 4.0 + 0.3j
+        state, err = far_field_init(1.0, x0)
+        with mp.workdps(30):
+            exact = complex(sum_transseries(1, mp.mpc(x0)))
+        assert err >= abs(state[0] - exact)
 
     def test_warns_when_too_close(self):
         with pytest.warns(UserWarning):
