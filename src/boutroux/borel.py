@@ -31,6 +31,7 @@ from math import ceil, factorial, frexp, log2
 import mpmath as mp
 from mpmath.libmp import fzero, to_fixed
 
+from .connection import neville
 from .errors import (
     NoConvergenceError,
     NonConvergentSumError,
@@ -429,9 +430,10 @@ def estimate_S(germ=None):
 
     A square-root singularity  S / sqrt(1 - p)  at p = 1, mirrored at
     p = -1, forces  b_n ~ 2 S Gamma(n + 1/2) / (sqrt(pi) n!)  along the odd
-    coefficients, with corrections in integer powers of 1/n.  Fitting
-    S + a_1/n + ... + a_J/n^J through the last J+1 normalized values
-    extrapolates S; the error estimate compares two fit orders.  Raises
+    coefficients, with corrections in integer powers of 1/n.  The
+    polynomial S + a_1/n + ... + a_J/n^J through the last J+1 normalized
+    values, evaluated at 1/n = 0 by Neville's algorithm, extrapolates S;
+    the error estimate compares two orders J.  Raises
     NoConvergenceError when the normalized sequence is not settling
     (e.g. the actual Borel radius is not 1).
     """
@@ -457,14 +459,8 @@ def estimate_S(germ=None):
                 diagnostics={"last_ratio_drift": float(drift)})
 
         def extrapolate(J):
-            pts = seq[-(J + 1):]
-            A = mp.matrix(J + 1, J + 1)
-            v = mp.matrix(J + 1, 1)
-            for r, (n, s) in enumerate(pts):
-                for c in range(J + 1):
-                    A[r, c] = mp.mpf(n) ** (-c)
-                v[r] = s
-            return mp.lu_solve(A, v)[0]
+            ns, vals = zip(*seq[-(J + 1):])
+            return neville([1 / mp.mpf(n) for n in ns], vals)
 
         val = extrapolate(EXTRAPOLATION_ORDER)
         err = abs(val - extrapolate(EXTRAPOLATION_ORDER - 2))

@@ -9,7 +9,6 @@ nonzero exit code.
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
 import sys
@@ -82,25 +81,25 @@ def _parse_range(ctx, param, text):
         raise click.BadParameter("expected n or a..b; got %r" % text)
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ReportingGroup(click.Group):
+    """A command group that reports a BoutrouxError raised by itself or by
+    any of its commands as JSON on stdout and exits with code 2."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except BoutrouxError as exc:
             click.echo(json.dumps({"error": type(exc).__name__,
                                    "message": str(exc)}))
             sys.exit(2)
-    return wrapper
 
 
-@click.group()
+@click.group(cls=_ReportingGroup)
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="flat key=value configuration file")
 @click.option("--out", "out_path", default=None,
               help="output file (default: stdout)")
 @click.pass_context
-@handle_errors
 def main(ctx, config_path, out_path):
     """Numerical laboratory for truncated solutions of Painleve I."""
     cfg = load_config(config_path) if config_path else RunConfig().validate()
@@ -111,7 +110,6 @@ def main(ctx, config_path, out_path):
 @main.command()
 @click.option("--order", default=20, show_default=True)
 @click.pass_obj
-@handle_errors
 def coeffs(obj, order):
     """Exact power-series and Borel-plane coefficient tables."""
     from .borel import solve_H0_convolution
@@ -134,7 +132,6 @@ def coeffs(obj, order):
 @main.command()
 @click.option("--order", default=200, show_default=True)
 @click.pass_obj
-@handle_errors
 def borel(obj, order):
     """Borel-germ diagnostics and the singularity constant estimate."""
     from .borel import estimate_S, solve_H0_convolution
@@ -163,7 +160,6 @@ def borel(obj, order):
               callback=_parse_grid, help="|x| grid a:b:n")
 @click.option("--arg-x", default=0.0, show_default=True, type=float)
 @click.pass_obj
-@handle_errors
 def sum_cmd(obj, C, phi, grid, arg_x):
     """Borel-summed transseries values on an |x| grid."""
     from .borel import sum_transseries
@@ -183,7 +179,6 @@ def sum_cmd(obj, C, phi, grid, arg_x):
 @click.option("--arg0", default=math.pi / 4, show_default=True, type=float)
 @click.option("--arg1", default=-math.pi / 4, show_default=True, type=float)
 @click.pass_obj
-@handle_errors
 def integrate(obj, C, radius, arg0, arg1):
     """Integrate along an arc, reporting the trace and detected poles."""
     from .odes import arc_path, detect_poles, far_field_init, integrate_path
@@ -204,7 +199,6 @@ def integrate(obj, C, radius, arg0, arg1):
 @click.option("--n", "n_range", default="5..15", show_default=True,
               callback=_parse_range)
 @click.pass_obj
-@handle_errors
 def poles(obj, C, n_range):
     """Predicted vs detected pole locations of the first array."""
     from .odes import locate_pole
@@ -227,7 +221,6 @@ def poles(obj, C, n_range):
 
 @main.command()
 @click.pass_obj
-@handle_errors
 def stokes(obj):
     """Constant-beyond-all-orders and Stokes-multiplier report."""
     from .borel import laplace_ray, solve_H0_convolution
@@ -260,7 +253,6 @@ def stokes(obj):
 @click.option("--steps", default=None, type=int,
               help="cycle count (default |x0|/2)")
 @click.pass_obj
-@handle_errors
 def invariants(obj, x0, s0, steps):
     """Adiabatic invariants Q and K_shifted along a cycle run."""
     from .cycles import run_cycles
@@ -278,7 +270,6 @@ def invariants(obj, x0, s0, steps):
 
 @main.command()
 @click.pass_obj
-@handle_errors
 def verify(obj):
     """Acceptance checks against built-in closed forms."""
     from fractions import Fraction

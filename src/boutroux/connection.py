@@ -47,16 +47,13 @@ def default_schedule():
     return [16.5 + 2.0 * j for j in range(11)]
 
 
-def _richardson3(rs, ws):
-    """3-level Neville extrapolation in 1/r to 1/r = 0 on the last points."""
-    us = [1 / mp.mpf(r) for r in rs[-3:]]
-    vs = list(ws[-3:])
-    for lvl in range(1, 3):
-        nxt = []
-        for i in range(len(vs) - 1):
-            u0, u1 = us[i], us[i + lvl]
-            nxt.append((vs[i + 1] * u0 - vs[i] * u1) / (u0 - u1))
-        vs = nxt
+def neville(us, vs):
+    """Value at u = 0 of the polynomial through the points (us[i], vs[i]),
+    by Neville's algorithm; with us = 1/n it extrapolates vs to n = inf."""
+    vs = list(vs)
+    for lvl in range(1, len(us)):
+        vs = [(vs[i + 1] * us[i] - vs[i] * us[i + lvl]) / (us[i] - us[i + lvl])
+              for i in range(len(vs) - 1)]
     return vs[0]
 
 
@@ -108,7 +105,7 @@ def extract_constant(evaluator, theta, schedule=None, return_info=False):
     # cross-checks: refit on the tail, and Richardson on the cleaned values
     coef_tail, *_ = np.linalg.lstsq(A[3:], b[3:], rcond=None)
     cleaned = [vs[j] - A[j, 5] * coef[5] for j in range(len(rs))]
-    rich = complex(_richardson3([float(r) for r in rs], cleaned))
+    rich = complex(neville([1 / r for r in rs[-3:]], cleaned[-3:]))
     err = max(abs(C - complex(coef_tail[0])), abs(C - rich))
     if err > 1e-3:
         raise NoConvergenceError(

@@ -45,7 +45,7 @@ import numpy as np
 
 from .connection import BOREL_S
 from .errors import ChartDeadlockError, StepFailureError
-from .series import EQP_COEFF, h0_coefficients, h0_series, level_series
+from .series import EQP_COEFF, h0_series, level_series
 
 # x^{-4} coefficient of the h-equation right-hand side h'' = h + h^2/2 + ...
 EQ4 = float(-EQP_COEFF)
@@ -475,68 +475,59 @@ def _seed_series(k):
             tuple(map(float, s.differentiate().coeffs)))
 
 
-def _seed_terms(k, n, x):
-    """Value and derivative at x of the first n terms of _seed_series(k) by
-    Horner's rule in 1/x, and a rounding bound for each: 4 n eps times the
-    sum of |term| (Higham's gamma_2n, doubled for complex arithmetic)."""
-    lead2, cs, dcs = _seed_series(k)
-    u, au = 1 / x, 1 / abs(x)
-    v = d = 0j
-    mv = md = 0.0
-    for c, dc in zip(reversed(cs[:n]), reversed(dcs[:n])):
-        v, d = v * u + c, d * u + dc
-        mv, md = mv * au + abs(c), md * au + abs(dc)
-    scale = x ** (lead2 / 2)
-    bound = 4 * n * EPS * abs(scale)
-    return v * scale, d * scale * u, bound * mv, bound * md * au
-
-
 def far_field_init(C, x0):
     """Seed (h, h') at large |x0| from the truncated transseries.
 
-    Sums the exact coefficients, rounded to floats, in complex double at
-    optimal-ish truncation N ~ |x0| with FAR_FIELD_LEVELS exponential
-    levels; returns (state, err_est) where err_est adds the first omitted
-    power term of h0 and of each level sum, the optimal-truncation floor,
-    the first omitted level and the rounding bound of the sums.  Warns when
-    it exceeds 1e-8.
+    Sums h = sum_{k=0}^{K} q^k h_k with q = C e^{-x0}, h_0 = h0 and
+    K = FAR_FIELD_LEVELS (K = 0 when C = 0), from the exact coefficients
+    rounded to floats, by Horner's rule in 1/x0 in complex double.  Each
+    series diverges and is cut near its least term (optimal truncation,
+    order ~ |x0|) by one rule: x^{k/2} h_k is summed through x^{-N}, N the
+    even integer at or below |x0|, clamped to [8, SEED_ORDER].  Returns
+    (state, err_est) where err_est adds the first omitted non-zero term of
+    every series (its last stored term where the table ends first), the
+    optimal-truncation floor, the first omitted level and the rounding
+    bound of the sums.  Warns when it exceeds 1e-8.
 
     The Borel-summed transseries is not used as a seed: at the seeds of
     locate_pole (n = 5, 10, 15, C = 1) and 30 digits, sum_transseries needs
     17 levels and 1.2-3.6 s per seed, against 0.2-0.3 ms here, and the two
-    agree to 2.2e-13.
+    agree to 1.2e-15 at n = 5.
     """
     x0 = complex(x0)
     N = int(min(max(abs(x0), 8), SEED_ORDER))
-    if N % 2:
-        N -= 1
-    h, hp, rh, rhp = _seed_terms(0, N - 3, x0)  # c_4..c_N
-    rounding = rh + rhp
-    tail = float(h0_coefficients(N + 2)[-1])
-    err = abs(tail) * abs(x0) ** (-(N + 2))
+    N -= N % 2
+    q = complex(C) * cmath.exp(-x0)
+    u, au = 1 / x0, 1 / abs(x0)
+    h = hp = 0j
     # optimal-truncation floor: the least term of the divergent series is
     # reached near order |x| and has size ~ 2 pi S e^{-|x|}, with S the
     # Borel singularity constant
-    err += 2 * math.pi * BOREL_S * math.exp(-abs(x0))
-    if C != 0:
-        q = complex(C) * cmath.exp(-x0)
-        n = min(N + 20, SEED_ORDER) + 1  # a_0..a_{N+20}
-        pref = 1
-        sizes = []
-        for k in range(1, FAR_FIELD_LEVELS + 1):
-            s, ds, rs, rds = _seed_terms(k, n, x0)
-            pref *= q
-            term = pref * s
-            h += term
-            hp += pref * (ds - k * s)
-            rounding += abs(pref) * ((k + 1) * rs + rds)
-            sizes.append(abs(term))
-            # the level series diverge like h0's and are summed past their
-            # least term near order |x|: add each one's first omitted term
-            # (its last term when the stored series ends first)
-            lead2, cs, _ = _seed_series(k)
-            j = min(n, len(cs) - 1)
-            err += abs(pref * cs[j]) * abs(x0) ** (lead2 / 2 - j)
+    err = 2 * math.pi * BOREL_S * math.exp(-abs(x0))
+    rounding, sizes, pref = 0.0, [], 1
+    K = FAR_FIELD_LEVELS if C != 0 else 0
+    for k in range(K + 1):
+        lead2, cs, dcs = _seed_series(k)
+        n = N + 1 + (lead2 + k) // 2  # terms through x^{-N} of x^{k/2} h_k
+        v = d = 0j
+        mv = md = 0.0
+        for c, dc in zip(reversed(cs[:n]), reversed(dcs[:n])):
+            v, d = v * u + c, d * u + dc
+            mv, md = mv * au + abs(c), md * au + abs(dc)
+        scale = x0 ** (lead2 / 2)
+        s, ds = v * scale, d * scale * u
+        h += pref * s
+        hp += pref * (ds - k * s)
+        # Horner's rounding: 4 n eps times the sum of |term| (Higham's
+        # gamma_2n, doubled for complex arithmetic)
+        rounding += abs(pref) * 4 * n * EPS * abs(scale) * (
+            (k + 1) * mv + md * au)
+        sizes.append(abs(pref * s))
+        # the first omitted non-zero term (h0's odd orders vanish)
+        j = next((j for j in range(n, len(cs)) if cs[j]), len(cs) - 1)
+        err += abs(pref * cs[j]) * abs(x0) ** (lead2 / 2 - j)
+        pref *= q
+    if K:
         # first omitted level estimated by the observed geometric decay
         err += sizes[-1] * min(sizes[-1] / sizes[-2], 1.0) \
             if sizes[-2] > 0 else sizes[-1]
@@ -558,7 +549,9 @@ def continue_around(R_target=20.0):
     sector; the path dips to radius 5 while passing arg x = pi, where
     errors in the exponentially growing direction would otherwise be
     amplified by e^{|x|}), and clockwise to arg x = -pi through the pole
-    sector at radius 8 using chart switching.  Returns (trace_ccw, trace_cw).
+    sector at radius 8.  The tritronquee has no poles on that path: at
+    R_target = 20 it makes no chart switch and detect_poles finds none.
+    Returns (trace_ccw, trace_cw).
     """
     R_seed, r_dip, r_dip_cw = 30.0, 5.0, 8.0
     seed, _ = far_field_init(0.0, R_seed * cmath.exp(1j * cmath.pi / 4))
@@ -581,17 +574,19 @@ def continue_around(R_target=20.0):
 
 
 def single_valuedness_residual(trace_ccw, trace_cw):
-    """Residual of  h(|x|e^{3i pi/2}) + h(|x|e^{-i pi}) + 2 - 8/(25|x|^2).
+    """Residual of  h(|x|e^{3i pi/2}) + h(|x|e^{-i pi}) + 2.
 
-    The two traces must end at |x|e^{3i pi/2} and |x|e^{-i pi} with the
-    same |x|.
+    Both points map to the same z, where the branches of sqrt(z/6) in
+    y = i sqrt(z/6) (1 - 4/(25x^2) + h) differ by a sign, so the two
+    brackets sum to 0; their -4/(25x^2) terms cancel, since x^2 = -|x|^2
+    at the first point and |x|^2 at the second.  The two traces must end
+    at |x|e^{3i pi/2} and |x|e^{-i pi} with the same |x|.
     """
     x1, s1 = trace_ccw.endpoint
     x2, s2 = trace_cw.endpoint
-    r1, r2 = abs(x1), abs(x2)
-    if abs(r1 - r2) > 1e-9:
+    if abs(abs(x1) - abs(x2)) > 1e-9:
         raise ValueError("traces end at different radii")
-    return s1[0] + s2[0] + 2 - 8.0 / (25 * r1 * r1)
+    return s1[0] + s2[0] + 2
 
 
 def locate_pole(n, C=1.0):

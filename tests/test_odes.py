@@ -7,6 +7,7 @@ asymptotics cross-checked against detected poles.
 """
 
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from boutroux.odes import (
     _series_g,
     _series_h,
     arc_path,
+    continue_around,
     detect_poles,
     far_field_init,
     g_from_h,
@@ -36,6 +38,7 @@ from boutroux.odes import (
     map_z_to_x,
     rhs_g,
     rhs_h,
+    single_valuedness_residual,
 )
 
 cnum = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
@@ -426,8 +429,8 @@ def borel_derivative(C, x, step=mp.mpf("1e-7")):
 
 def seed_reference(C, x0):
     """The truncated transseries of far_field_init, (h, h') summed at 40
-    digits by FormalSeries: h0 to order N ~ |x0| and FAR_FIELD_LEVELS
-    levels to order min(N + 20, 60)."""
+    digits by FormalSeries: h0 and FAR_FIELD_LEVELS levels, each with its
+    integer-power part to order N ~ |x0|."""
     from boutroux.series import h0_series, level_series
 
     N = int(min(max(abs(x0), 8), 60))
@@ -437,12 +440,21 @@ def seed_reference(C, x0):
         s = h0_series(N)
         h, hp = s(x), s.differentiate()(x)
         for k in range(1, FAR_FIELD_LEVELS + 1 if C else 1):
-            t = level_series(k, min(N + 20, 60))
+            t = level_series(k, N)
             pref = mp.mpc(C) ** k * mp.exp(-k * x)
             tk = t(x)
             h += pref * tk
             hp += pref * (t.differentiate()(x) - k * tk)
         return complex(h), complex(hp)
+
+
+@functools.lru_cache(maxsize=None)
+def borel_seed_value(C, x0):
+    """The Borel-summed transseries h at x0, at 30 digits."""
+    from boutroux.borel import sum_transseries
+
+    with mp.workdps(30):
+        return complex(sum_transseries(C, mp.mpc(x0)))
 
 
 class TestFarFieldInit:
@@ -497,21 +509,45 @@ class TestFarFieldInit:
             assert err > 1e-16 * abs(state[0])
 
     def test_error_estimate_covers_locate_pole_seed(self):
-        """At locate_pole's n = 5 seed the level series carry most of h and
-        are summed past their least term; err_est still covers the
-        distance to the 30-digit Borel-summed transseries."""
-        from boutroux.borel import sum_transseries
+        """err_est covers the distance to the 30-digit Borel-summed
+        transseries at the seeds of locate_pole (n = 5, 10, 15; at n = 5
+        the level series carry most of h) and at continue_around's
+        30 e^{i pi/4} for C = 0 and C = 1."""
+        from boutroux.twoscale import predict_pole
+
+        x45 = 30 * cmath.exp(1j * math.pi / 4)
+        seeds = [(1.0, complex(predict_pole(n, 1.0).x_n) + 4.0 + 0.3j)
+                 for n in (5, 10, 15)] + [(0.0, x45), (1.0, x45)]
+        for C, x0 in seeds:
+            state, err = far_field_init(C, x0)
+            assert err >= abs(state[0] - borel_seed_value(C, x0))
+
+    def test_levels_cut_at_their_least_term(self):
+        """Every level is summed only to order ~ |x0|, like h0, so the
+        n = 5 seed of locate_pole, where the levels carry most of h, is
+        within 1e-14 of the 30-digit Borel sum, and so is the pole."""
         from boutroux.twoscale import predict_pole
 
         x0 = complex(predict_pole(5, 1.0).x_n) + 4.0 + 0.3j
-        state, err = far_field_init(1.0, x0)
-        with mp.workdps(30):
-            exact = complex(sum_transseries(1, mp.mpc(x0)))
-        assert err >= abs(state[0] - exact)
+        state, _ = far_field_init(1.0, x0)
+        assert abs(state[0] - borel_seed_value(1.0, x0)) < 1e-14
+        _, rec = locate_pole(5, 1.0)
+        ref = taylor_pole_reference(5)
+        assert abs(rec.location - ref) < 1e-14 * abs(ref)
 
     def test_warns_when_too_close(self):
         with pytest.warns(UserWarning):
             far_field_init(1.0, 5.0 + 0j)
+
+
+class TestSingleValuedness:
+    @pytest.mark.parametrize("R", [12.0, 20.0, 25.0])
+    def test_residual_vanishes(self, R):
+        """h(R e^{3i pi/2}) + h(R e^{-i pi}) + 2 = 0 for the tritronquee;
+        its residual is the continuation error, not a leftover
+        8/(25 R^2) (0.8e-3 at R = 20)."""
+        trace_ccw, trace_cw = continue_around(R)
+        assert abs(single_valuedness_residual(trace_ccw, trace_cw)) < 1e-6
 
 
 class TestTraceExport:
