@@ -8,15 +8,16 @@ equation
 whose Taylor solution is generated here in exact rationals.  Germs are
 continued beyond |p| = 1 by near-diagonal Pade approximants: the exact
 coefficients are rounded once to SOLVE_DIGITS-digit ``decimal`` numbers,
-the Toeplitz system of the denominator is solved by Gaussian elimination
-with partial pivoting, and both polynomials are rounded once to Python
-integers, fixed-point numbers with FIX_BITS fractional bits.  A table is
-evaluated by Horner's rule on those integers; only the final division of
-numerator by denominator runs in mpmath, at PADE_DPS digits.  Laplace
-integrals along rotated rays then produce actual tronquee solutions, and
-a Hankel loop around the cut [1, inf) measures the Stokes jump.  Rays and
-loop legs are integrated by one panel sum, nested Clenshaw-Curtis rules
-on whole dyadic panels (:func:`_panel_sum`).
+the Toeplitz system of the denominator is solved by the Levinson-Trench
+recursion in O(m^2) (an even germ as a function of p^2), and both
+polynomials are rounded once to Python integers, fixed-point numbers with
+FIX_BITS fractional bits.  A table is evaluated by Horner's rule on those
+integers; only the final division of numerator by denominator runs in
+mpmath, at PADE_DPS digits.  Laplace integrals along rotated rays then
+produce actual tronquee solutions, and a Hankel loop around the cut
+[1, inf) measures the Stokes jump.  Rays and loop legs are integrated by
+one panel sum, nested Clenshaw-Curtis rules on whole dyadic panels
+(:func:`_panel_sum`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, frexp, log2
+from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import fzero, to_fixed
@@ -54,9 +56,11 @@ PADE_DPS = 60
 # by 1.6e-43).
 FIX_BITS = ceil(PADE_DPS * log2(10)) + 40
 # Digits of the decimal solve behind a table.  The Toeplitz systems of the
-# 200-coefficient germs lose up to 60 digits to conditioning: a solve at
-# PADE_DPS + 3 digits leaves the tables off by 2e-5 at |p| = 12 on the ray
-# arg p = pi/4, one at PADE_DPS + 40 by 1e-30 (by 2e-26 at arg p = 0.05).
+# 200-coefficient germs lose up to 60 digits to conditioning on the ray
+# arg p = pi/4 and up to 74 at arg p = 0.05: against a 250-digit solve, the
+# H0-H2 tables of a solve at PADE_DPS + 3 digits are off by up to 2e-5 at
+# |p| = 12 on arg p = pi/4, those of one at PADE_DPS + 40 by up to 6e-31
+# (1e-26 at arg p = 0.05).
 SOLVE_DIGITS = PADE_DPS + 40
 DEFAULT_GERM_ORDER = 200
 # the Pade table behind the error estimate leaves out this many of the
@@ -194,29 +198,46 @@ class GermEvaluator:
 def _toeplitz_solve(cs, L, m):
     """Denominator 1, q_1..q_m of the [L/m] Pade approximant of ``cs``.
 
-    Solves sum_{j=1}^m cs[L+i-j] q_j = -cs[L+i], i = 1..m, by Gaussian
-    elimination with partial pivoting in the current decimal context;
-    None when a pivot is at most ||A||_1 10^{-(digits-10)}.
+    Solves sum_{j=1}^m cs[L+i-j] q_j = -cs[L+i], i = 1..m (L >= m), a
+    Toeplitz system, by the non-symmetric Levinson recursion (Levinson
+    1947; Trench 1964) in O(m^2) operations of the current decimal
+    context.  Step n extends the solutions f, b of T_n f = e_1 and
+    T_n b = e_n, and that of the first n equations, to n + 1.  The pivots
+    of T's LU factors are cs[L] and, at step n, the previous pivot times
+    1 - eps_f eps_b; None when one is at most max |cs[L+k]| times
+    10^{-(digits-10)} (a near-singular leading minor, as of an exactly
+    rational germ).
+
+    An even germ (every odd coefficient 0, so cs[L] = 0 for odd L) has
+    an even table: that of the coefficients in w = p^2, of degrees
+    [L//2 / m//2], with q spread back onto the even powers of p.
     """
-    rows = [[cs[L + i - j] for j in range(1, m + 1)] + [-cs[L + i]]
-            for i in range(1, m + 1)]
-    norm = max(sum(abs(r[j]) for r in rows) for j in range(m))
-    tol = norm.scaleb(10 - decimal.getcontext().prec)
-    for j in range(m):
-        k = max(range(j, m), key=lambda r: abs(rows[r][j]))
-        if abs(rows[k][j]) <= tol:
+    if m > 1 and not any(cs[1::2]):
+        q = _toeplitz_solve(cs[::2], L // 2, m // 2)
+        return None if q is None else \
+            [c for a in q for c in (a, Decimal(0))][:m + 1]
+    tol = max(map(abs, cs[L - m + 1:L + m])).scaleb(
+        10 - decimal.getcontext().prec)
+    pivot = cs[L]
+    if abs(pivot) <= tol:
+        return None
+    f = b = [1 / pivot]
+    x = [-cs[L + 1] / pivot]
+    for n in range(1, m):
+        row = cs[L + n:L:-1]          # cs[L+n-j], j = 0..n-1
+        ef = sum(map(mul, row, f))    # T_{n+1} (f, 0) = (1, 0.., ef)
+        eb = sum(map(mul, reversed(cs[L - n:L]), b))  # (0, b) -> (eb, 0.., 1)
+        d = 1 - ef * eb
+        pivot *= d
+        if abs(pivot) <= tol:
             return None
-        rows[j], rows[k] = rows[k], rows[j]
-        pivot = rows[j]
-        for r in rows[j + 1:]:
-            f = r[j] / pivot[j]
-            if f:
-                r[j + 1:] = [a - f * b for a, b in zip(r[j + 1:], pivot[j + 1:])]
-    q = [Decimal(0)] * m
-    for j in reversed(range(m)):
-        r = rows[j]
-        q[j] = (r[m] - sum(r[k] * q[k] for k in range(j + 1, m))) / r[j]
-    return [Decimal(1)] + q
+        r = 1 / d
+        fb = list(zip(f + [0], [0] + b))
+        f = [(u - ef * v) * r for u, v in fb]
+        b = [(v - eb * u) * r for u, v in fb]
+        e = -cs[L + 1 + n] - sum(map(mul, row, x))
+        x = [u + e * v for u, v in zip(x + [0], b)]
+    return [Decimal(1)] + x
 
 
 def _horner(cs, zr, zi, bits):

@@ -63,31 +63,7 @@ G_GAP = 0.05
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides and charts
-
-
-def rhs_h(x, state):
-    """(h, h') -> (h', h'') for  h'' = h + h^2/2 + EQ4/x^4 - h'/x."""
-    if x == 0:
-        raise ValueError("the equation is singular at x = 0")
-    h, hp = state
-    return np.array([hp, h + h * h / 2 + EQ4 / x**4 - hp / x])
-
-
-def rhs_g(x, state):
-    """(g, g') for the pole chart g = h(1 + h/3)^{-1}.
-
-    Substituting h = 3g/(3-g) into the h-equation gives
-    g'' = g(3-g)/3 + g^2/2 + EQ4 x^{-4}(3-g)^2/9 - g'/x - 2g'^2/(3-g),
-    regular at g = 3 (a double pole of h).
-    """
-    if x == 0:
-        raise ValueError("the equation is singular at x = 0")
-    g, v = state
-    omg = 3.0 - g
-    vp = (g * omg / 3 + g * g / 2 + EQ4 / x**4 * omg * omg / 9
-          - v / x - 2 * v * v / omg)
-    return np.array([v, vp])
+# Charts
 
 
 def h_from_g(state):
@@ -253,19 +229,6 @@ def map_x_to_z(x, h, hp):
     y = root * core
     dydx = root * (core * dzdx / (2 * z) + 8 / (25 * x**3) + hp)
     return z, y, dydx / dzdx
-
-
-def map_z_to_x(z, y, dydz):
-    """Inverse of :func:`map_x_to_z` (principal branch)."""
-    z = complex(z)
-    x = (z * cmath.exp(1j * cmath.pi / 5) / _Z_FACTOR) ** 1.25
-    dzdx = 0.8 * z / x
-    root = 1j * cmath.sqrt(z / 6)
-    core = y / root
-    h = core - 1 + 4 / (25 * x * x)
-    dydx = dydz * dzdx
-    hp = dydx / root - core / (2 * z) * dzdx - 8 / (25 * x**3)
-    return x, h, hp
 
 
 # ---------------------------------------------------------------------------

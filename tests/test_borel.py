@@ -5,6 +5,8 @@ convolution recurrence), closed-form Laplace integrals for toy germs, and
 the closed-form Stokes constant sqrt(6/(5 pi)).
 """
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -54,6 +56,29 @@ def toy_halfint_germ():
 
 def toy_halfint_exact(x):
     return mp.pi * mp.exp(x) * mp.erfc(mp.sqrt(x))
+
+
+def elimination_solve(cs, L, m):
+    """Denominator 1, q_1..q_m of the [L/m] Pade approximant of ``cs``:
+    sum_{j=1}^m cs[L+i-j] q_j = -cs[L+i], i = 1..m, by Gaussian elimination
+    with partial pivoting in the current decimal context.  The reference
+    for borel._toeplitz_solve."""
+    rows = [[cs[L + i - j] for j in range(1, m + 1)] + [-cs[L + i]]
+            for i in range(1, m + 1)]
+    for j in range(m):
+        k = max(range(j, m), key=lambda r: abs(rows[r][j]))
+        rows[j], rows[k] = rows[k], rows[j]
+        pivot = rows[j]
+        for r in rows[j + 1:]:
+            f = r[j] / pivot[j]
+            if f:
+                r[j + 1:] = [a - f * b
+                             for a, b in zip(r[j + 1:], pivot[j + 1:])]
+    q = [Decimal(0)] * m
+    for j in reversed(range(m)):
+        r = rows[j]
+        q[j] = (r[m] - sum(r[k] * q[k] for k in range(j + 1, m))) / r[j]
+    return [Decimal(1)] + q
 
 
 class TestConvolutionEquation:
@@ -157,6 +182,55 @@ class TestPadeTables:
         polynomial, highest degree first."""
         ev = borel.GermEvaluator(BorelGerm(0, (1, 2) + (0,) * 38))
         assert abs(ev(mp.mpf("0.5")) - 2) < 1e-50
+
+    @pytest.mark.parametrize("bases, N", [((2, 3), 60), ((2, 3, -5), 80)])
+    def test_rational_germ_keeps_its_degree(self, bases, N):
+        """c_k = sum_b b^-k is rational of degree len(bases): every larger
+        leading minor of the Toeplitz system is singular, so the back-off
+        must reach that degree in both tables, which are then exact."""
+        germ = BorelGerm(0, tuple(sum(Fraction(1, b ** k) for b in bases)
+                                  for k in range(N)))
+        ev = borel.GermEvaluator(germ)
+        with mp.workdps(80):
+            p = mp.mpf("1.5")
+            exact = sum(1 / (1 - p / b) for b in bases)
+            for table in (ev._pq, ev._pq_check):
+                assert len(table[1]) - 1 == len(bases)
+                value = borel._pade_value(table, p)
+                assert abs(value - exact) <= 1e-45 * abs(exact)
+
+    # (L, M) of the main and check tables, as the elimination solve built
+    # them: the denominator back-off must not move them
+    DEGREES = {0: ((99, 98), (89, 88)), 1: ((100, 100), (90, 90)),
+               2: ((100, 100), (90, 90)), 5: ((60, 60), (50, 50)),
+               12: ((30, 30), (20, 20)), 24: ((30, 30), (20, 20))}
+
+    @pytest.mark.parametrize("k", sorted(DEGREES))
+    def test_table_degrees(self, k):
+        germ = solve_H0_convolution() if k == 0 else germ_Hk(k)
+        ev = borel._evaluator(germ)
+        assert tuple((len(num) - 1, len(den) - 1)
+                     for num, den, _ in (ev._pq, ev._pq_check)) \
+            == self.DEGREES[k]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_denominator_matches_elimination(self, k):
+        """q of both tables, solved at SOLVE_DIGITS, against Gaussian
+        elimination of the same Toeplitz system at 250 digits."""
+        def solve(solver, digits, coeffs):
+            ctx = decimal.Context(prec=digits)
+            cs = [ctx.divide(c.numerator, c.denominator) for c in coeffs]
+            n = len(cs) - 1
+            with decimal.localcontext(ctx):
+                return solver(cs, n - n // 2, n // 2)
+
+        germ = solve_H0_convolution() if k == 0 else germ_Hk(k)
+        for drop in (0, borel.CHECK_DROP):
+            coeffs = germ.coeffs[:len(germ.coeffs) - drop]
+            q = solve(borel._toeplitz_solve, borel.SOLVE_DIGITS, coeffs)
+            ref = solve(elimination_solve, 250, coeffs)
+            assert max(abs(a - b) for a, b in zip(q, ref)) \
+                <= Decimal("1e-20") * max(map(abs, ref))
 
 
 class TestLaplaceRay:

@@ -24,6 +24,7 @@ from boutroux.errors import ChartDeadlockError, StepFailureError
 from boutroux.odes import (
     EQ4,
     FAR_FIELD_LEVELS,
+    _Z_FACTOR,
     _series_g,
     _series_h,
     arc_path,
@@ -35,14 +36,53 @@ from boutroux.odes import (
     integrate_path,
     locate_pole,
     map_x_to_z,
-    map_z_to_x,
-    rhs_g,
-    rhs_h,
     single_valuedness_residual,
 )
 
 cnum = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
                           allow_nan=False, allow_infinity=False)
+
+
+# Reference right-hand sides of the two charts and the inverse of
+# map_x_to_z.  The package integrates through the series recurrences
+# _series_h and _series_g, which the tests below check against these.
+
+
+def rhs_h(x, state):
+    """(h, h') -> (h', h'') for  h'' = h + h^2/2 + EQ4/x^4 - h'/x."""
+    if x == 0:
+        raise ValueError("the equation is singular at x = 0")
+    h, hp = state
+    return np.array([hp, h + h * h / 2 + EQ4 / x**4 - hp / x])
+
+
+def rhs_g(x, state):
+    """(g, g') for the pole chart g = h(1 + h/3)^{-1}.
+
+    Substituting h = 3g/(3-g) into the h-equation gives
+    g'' = g(3-g)/3 + g^2/2 + EQ4 x^{-4}(3-g)^2/9 - g'/x - 2g'^2/(3-g),
+    regular at g = 3 (a double pole of h).
+    """
+    if x == 0:
+        raise ValueError("the equation is singular at x = 0")
+    g, v = state
+    omg = 3.0 - g
+    vp = (g * omg / 3 + g * g / 2 + EQ4 / x**4 * omg * omg / 9
+          - v / x - 2 * v * v / omg)
+    return np.array([v, vp])
+
+
+def map_z_to_x(z, y, dydz):
+    """Inverse of :func:`map_x_to_z` (principal branch)."""
+    z = complex(z)
+    x = (z * cmath.exp(1j * cmath.pi / 5) / _Z_FACTOR) ** 1.25
+    dzdx = 0.8 * z / x
+    root = 1j * cmath.sqrt(z / 6)
+    core = y / root
+    h = core - 1 + 4 / (25 * x * x)
+    dydx = dydz * dzdx
+    hp = dydx / root - core / (2 * z) * dzdx - 8 / (25 * x**3)
+    return x, h, hp
 
 
 class TestRightHandSides:
