@@ -11,12 +11,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import statistics
 import sys
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import click
 import mpmath as mp
-import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import BoutrouxError
@@ -60,25 +60,62 @@ def _write_csv(cfg, path, columns, rows):
 def _parse_complex(ctx, param, text):
     re_s, sep, im_s = text.partition(",")
     try:
-        return complex(float(re_s), float(im_s) if sep else 0.0)
+        z = complex(float(re_s), float(im_s) if sep else 0.0)
     except ValueError:
-        raise click.BadParameter("expected re or re,im; got %r" % text)
+        z = math.nan
+    if not cmath.isfinite(z):
+        raise click.BadParameter("expected finite re or re,im; got %r" % text)
+    return z
+
+
+def _pole_C(ctx, param, text):
+    # the pole array of predict_pole exists only for C != 0
+    C = _parse_complex(ctx, param, text)
+    if C == 0:
+        raise click.BadParameter("expected a nonzero C; got %r" % text)
+    return C
+
+
+def _positive(ctx, param, value):
+    if not 0 < value < math.inf:
+        raise click.BadParameter("expected a finite positive number; got %r"
+                                 % value)
+    return value
+
+
+def _radius(ctx, param, value):
+    # past about 1e3 the float charts thrash on the default arc (3e3 ends
+    # in ChartDeadlockError), and arc_path's waypoint list grows with the
+    # radius (1e300 never finishes building it)
+    if not 0 < value <= 1e3:
+        raise click.BadParameter("expected 0 < radius <= 1e3; got %r" % value)
+    return value
 
 
 def _parse_grid(ctx, param, text):
+    """a:b:n as n evenly spaced values a + i (b - a)/(n - 1), the last b."""
     try:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise click.BadParameter("expected a:b:n; got %r" % text)
+        n = 0
+    if n < 1 or not (math.isfinite(a) and math.isfinite(b)):
+        raise click.BadParameter("expected a:b:n with finite a, b and n >= 1;"
+                                 " got %r" % text)
+    step = (b - a) / max(n - 1, 1)
+    return [a + i * step for i in range(n - 1)] + [b if n > 1 else a]
 
 
 def _parse_range(ctx, param, text):
     a, sep, b = text.partition("..")
     try:
-        return range(int(a), int(b if sep else a) + 1)
+        n_range = range(int(a), int(b if sep else a) + 1)
     except ValueError:
-        raise click.BadParameter("expected n or a..b; got %r" % text)
+        n_range = range(0)
+    if not n_range or n_range[0] < 1:
+        raise click.BadParameter("expected n or a..b with 1 <= a <= b; got %r"
+                                 % text)
+    return n_range
 
 
 class _ReportingGroup(click.Group):
@@ -175,7 +212,7 @@ def sum_cmd(obj, C, phi, grid, arg_x):
 @main.command()
 @click.option("--C", "C", default="1", show_default=True,
               callback=_parse_complex)
-@click.option("--radius", default=30.0, show_default=True)
+@click.option("--radius", default=30.0, show_default=True, callback=_radius)
 @click.option("--arg0", default=math.pi / 4, show_default=True, type=float)
 @click.option("--arg1", default=-math.pi / 4, show_default=True, type=float)
 @click.pass_obj
@@ -195,7 +232,7 @@ def integrate(obj, C, radius, arg0, arg1):
 
 @main.command()
 @click.option("--C", "C", default="1", show_default=True,
-              callback=_parse_complex)
+              callback=_pole_C)
 @click.option("--n", "n_range", default="5..15", show_default=True,
               callback=_parse_range)
 @click.pass_obj
@@ -212,7 +249,8 @@ def poles(obj, C, n_range):
         gaps.append(gap)
         ns.append(n)
     if len(ns) > 2:
-        slope = float(np.polyfit(np.log(ns), np.log(gaps), 1)[0])
+        slope, _ = statistics.linear_regression(
+            [math.log(n) for n in ns], [math.log(g) for g in gaps])
         rows.append(("# fitted_gap_slope", slope, "", "", "", ""))
     _write_csv(obj["cfg"], obj["out"],
                ["n", "predicted_re", "predicted_im",
@@ -246,7 +284,7 @@ def stokes(obj):
 
 
 @main.command()
-@click.option("--x0", default=50.0, show_default=True,
+@click.option("--x0", default=50.0, show_default=True, callback=_positive,
               help="|x0| (arg fixed at -pi/2 * 1.05)")
 @click.option("--s0", default="-0.1", show_default=True,
               callback=_parse_complex)

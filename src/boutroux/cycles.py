@@ -26,8 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul, truediv
 
 from .errors import (
     CycleBreakdownError,
@@ -56,10 +55,16 @@ def cubic_roots(s):
     """Roots of u^3/3 + u^2 + s, interior pair first, exterior root last.
 
     The interior pair is the two roots closest to the cycle center -2.
+    With u = v - 1, v^3 - 3v + p = 0, p = 2 + 3s, is solved by v = w + 1/w
+    with w^3 the larger root of t^2 + p t + 1 (no cancellation; accuracy
+    is lost only near the degenerate energies s = 0, -4/3).
     """
-    rts = np.roots([1.0 / 3.0, 1.0, 0.0, complex(s)])
-    order = np.argsort(np.abs(rts - CYCLE_CENTER))
-    return rts[order]
+    p = 2.0 + 3.0 * complex(s)
+    d = cmath.sqrt(p * p - 4.0)
+    w = (-(p + d if abs(p + d) >= abs(p - d) else p - d) / 2.0) ** (1 / 3)
+    ws = [w * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    return tuple(sorted((v + 1 / v - 1 for v in ws),
+                        key=lambda r: abs(r - CYCLE_CENTER)))
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,16 @@ class Cycle:
         if min(abs(s), abs(s + 4.0 / 3.0)) < DEGENERATE_GUARD:
             raise DegenerateCycleError(
                 "s = %s within guard radius of a degenerate energy" % s)
-        dist = np.abs(cubic_roots(s) - self.center)
-        d = np.abs(dist - self.radius)
-        if d.min() < DEGENERATE_GUARD:
+        dist = [abs(r - self.center) for r in cubic_roots(s)]
+        d = min(abs(r - self.radius) for r in dist)
+        if d < DEGENERATE_GUARD:
             raise DegenerateCycleError(
-                "cubic root within %.3g of the contour at s = %s"
-                % (d.min(), s))
-        inside = dist < self.radius
-        if inside.sum() != 2:
+                "cubic root within %.3g of the contour at s = %s" % (d, s))
+        inside = sum(r < self.radius for r in dist)
+        if inside != 2:
             raise DegenerateCycleError(
                 "contour encloses %d roots instead of 2 at s = %s"
-                % (inside.sum(), s))
+                % (inside, s))
 
 
 @functools.lru_cache(maxsize=16)
@@ -93,20 +97,28 @@ def _contour(cycle, n):
     """Read-only nodes u_j = u(j/n), j = 0..n, from the base point round
     to the closing node, and du/dt at each: the one discretisation of the
     contour, read by the period quadrature and by the Poincare map."""
-    t = np.arange(n + 1) / n
-    u = cycle.center + cycle.radius * np.exp(1j * (math.pi + 2 * math.pi * t))
-    du = 2j * math.pi * (u - cycle.center)
-    u.flags.writeable = du.flags.writeable = False
-    return u, du
+    u = tuple(cycle.center + cycle.radius
+              * cmath.exp(1j * (math.pi + 2 * math.pi * (j / n)))
+              for j in range(n + 1))
+    return u, tuple(2j * math.pi * (uj - cycle.center) for uj in u)
 
 
 def _R_track(u_vals, s):
     """sqrt(u^3/3 + u^2 + s) branch-tracked continuously along u_vals."""
-    vals = np.sqrt(u_vals**3 / 3.0 + u_vals**2 + complex(s))
+    s = complex(s)
+    vals = [cmath.sqrt(u**3 / 3.0 + u**2 + s) for u in u_vals]
     for i in range(1, len(vals)):
         if abs(vals[i] - vals[i - 1]) > abs(vals[i] + vals[i - 1]):
             vals[i] = -vals[i]
     return vals
+
+
+def _fsum(zs):
+    """Correctly rounded complex sum, by math.fsum on each part: the
+    period sums need it, a plain sum fails criterion 10."""
+    zs = list(zs)
+    return complex(math.fsum(z.real for z in zs),
+                   math.fsum(z.imag for z in zs))
 
 
 def _periods(s, cycle=None):
@@ -120,9 +132,10 @@ def _periods(s, cycle=None):
     if abs(R[-1] - R[0]) > 1e-8 * abs(R[0]):
         raise DegenerateCycleError(
             "R is not single-valued on the contour at s = %s" % s)
-    du, du2 = dudt[:-1] / NPTS, dudt[:-1:2] / (NPTS // 2)
-    J, L = np.sum(R[:-1] * du), np.sum(du / R[:-1])
-    J2, L2 = np.sum(R[:-1:2] * du2), np.sum(du2 / R[:-1:2])
+    du = [d / NPTS for d in dudt[:-1]]
+    # every k-th node: k = 1 the sums, k = 2 the even nodes' check sums
+    J, J2 = (k * _fsum(map(mul, R[:-1:k], du[::k])) for k in (1, 2))
+    L, L2 = (k * _fsum(map(truediv, du[::k], R[:-1:k])) for k in (1, 2))
     return J, abs(J - J2), L, abs(L - L2)
 
 
@@ -193,7 +206,7 @@ def _ode_continue(s0, y0, s1):
     """
     s0, s1 = complex(s0), complex(s1)
     if s1 == s0:
-        return np.asarray(y0, dtype=complex)
+        return complex(y0[0]), complex(y0[1])
     for p, name in ((0.0, "0"), (-4.0 / 3.0, "-4/3")):
         z = (s0 - p).conjugate() * (s1 - p)  # real, <= 0 when p in [s0, s1]
         if z.imag == 0 and z.real <= 0:
@@ -205,22 +218,23 @@ def _ode_continue(s0, y0, s1):
                                singular=(0.0, -4.0 / 3.0))
     except StepFailureError as exc:
         raise MatchFailureError("period ODE continuation failed: %s" % exc)
-    return np.array(y)
+    return y
 
 
 @dataclass
 class PeriodTable:
     """J, Jhat and their derivatives on an s grid."""
 
-    s_grid: np.ndarray
-    J: np.ndarray
-    J_prime: np.ndarray
-    Jhat: np.ndarray
-    Jhat_prime: np.ndarray
+    s_grid: list
+    J: list
+    J_prime: list
+    Jhat: list
+    Jhat_prime: list
 
     @property
     def wronskian(self):
-        return self.J * self.Jhat_prime - self.Jhat * self.J_prime
+        return [J * Hp - H * Jp for J, Jp, H, Hp in
+                zip(self.J, self.J_prime, self.Jhat, self.Jhat_prime)]
 
 
 def solve_J_ode(s_grid):
@@ -232,14 +246,13 @@ def solve_J_ode(s_grid):
     near s = 0 (Jhat(0) = 0, Jhat'(0) = 1) and continued along a path
     through the series base point; their Wronskian is constant.
     """
-    s_grid = np.asarray(s_grid, dtype=complex)
+    s_grid = [complex(s) for s in s_grid]
     if len(s_grid) < 2:
         raise ValueError("need at least two grid points")
     J0, _, L0, _ = _periods(s_grid[0])
-    yJ = np.array([J0, L0 / 2.0], dtype=complex)
-    yH = np.array(jhat_at(s_grid[0]), dtype=complex)
+    yJ, yH = (J0, L0 / 2.0), jhat_at(s_grid[0])
 
-    Js, Jps, Hs, Hps = [], [], [], []
+    rows = []
     for i, s in enumerate(s_grid):
         if i > 0:
             yJ = _ode_continue(s_grid[i - 1], yJ, s)
@@ -249,11 +262,8 @@ def solve_J_ode(s_grid):
             raise MatchFailureError(
                 "ODE-continued J deviates from quadrature at s = %s "
                 "(|diff| = %.3e)" % (s, abs(yJ[0] - Jq)))
-        Js.append(yJ[0]); Jps.append(yJ[1])
-        Hs.append(yH[0]); Hps.append(yH[1])
-    return PeriodTable(s_grid=s_grid,
-                       J=np.array(Js), J_prime=np.array(Jps),
-                       Jhat=np.array(Hs), Jhat_prime=np.array(Hps))
+        rows.append(yJ + yH)
+    return PeriodTable(s_grid, *map(list, zip(*rows)))
 
 
 def jhat_at(s):
@@ -276,7 +286,7 @@ def poincare_step(x_n, s_n, nsteps=1024, cycle=None, source=True,
     the 1/x terms (autonomous limit, s is then conserved exactly).
     """
     cycle = cycle or Cycle()
-    u_tab, du_tab = (a.tolist() for a in _contour(cycle, 2 * nsteps))
+    u_tab, du_tab = _contour(cycle, 2 * nsteps)
     x, s = complex(x_n), complex(s_n)
     R_ref = cmath.sqrt(U_BASE**3 / 3.0 + U_BASE**2 + s)
 
@@ -350,8 +360,8 @@ def run_cycles(x0, s0, N):
 
 def relative_drift(values):
     """max |v - v0| / |v0| over a sequence of invariant values."""
-    v = np.asarray(values, dtype=complex)
-    return float(np.max(np.abs(v - v[0])) / abs(v[0]))
+    v = list(values)
+    return max(abs(x - v[0]) for x in v) / abs(v[0])
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-import numpy as np
-
 from .connection import BOREL_S
 from .errors import ChartDeadlockError, StepFailureError
 from .series import EQP_COEFF, h0_series, level_series
@@ -69,13 +67,13 @@ G_GAP = 0.05
 def h_from_g(state):
     g, v = state
     omg = 3.0 - g
-    return np.array([3 * g / omg, 9 * v / (omg * omg)])
+    return 3 * g / omg, 9 * v / (omg * omg)
 
 
 def g_from_h(state):
     h, hp = state
     oph = 3.0 + h
-    return np.array([3 * h / oph, 9 * hp / (oph * oph)])
+    return 3 * h / oph, 9 * hp / (oph * oph)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ class SolutionTrace:
 
     def state_h(self, i):
         x, state, chart = self.samples[i]
-        return x, (h_from_g(state) if chart == "g" else np.asarray(state))
+        return x, (h_from_g(state) if chart == "g" else state)
 
     def to_json(self):
         import json
@@ -305,7 +303,7 @@ def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
     integrated.  Returns a :class:`SolutionTrace` with a sample at every
     waypoint and chart switch and one dense segment per Taylor step.
     """
-    state = np.asarray(state, dtype=complex)
+    state = complex(state[0]), complex(state[1])
     x0 = complex(x0)
     points = [x0] + [complex(p) for p in path]
     for a, b in zip(points, points[1:]):
@@ -315,7 +313,7 @@ def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
                                    "singular point x = 0" % (a, b))
     chart = "h"
     trace = SolutionTrace()
-    trace.samples.append((x0, state.copy(), chart))
+    trace.samples.append((x0, state, chart))
     switches = 0
 
     for target in points[1:]:
@@ -330,7 +328,6 @@ def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
                                               atol=atol)
             trace.segments.extend(TraceSegment(a, b, chart, cs)
                                   for a, b, cs in steps)
-            state = np.array(state)
             if hit:
                 switches += 1
                 if switches > MAX_SWITCHES:
@@ -341,7 +338,7 @@ def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
                     state, chart = g_from_h(state), "g"
                 else:
                     state, chart = h_from_g(state), "h"
-            trace.samples.append((x0, state.copy(), chart))
+            trace.samples.append((x0, state, chart))
     return trace
 
 
@@ -498,7 +495,7 @@ def far_field_init(C, x0):
     if err > 1e-8:
         warnings.warn("far-field seed error estimate %.2e exceeds 1.00e-08; "
                       "move the seed outward" % err)
-    return np.array([h, hp]), err
+    return (h, hp), err
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ class TestCriterion10CycleODEs:
 
     def test_wronskian_constant(self):
         tab = solve_J_ode(self.S_GRID)
-        w = tab.wronskian
+        w = np.asarray(tab.wronskian)
         assert np.max(np.abs(w - w.mean())) < 1e-9
 
 

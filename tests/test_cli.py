@@ -7,10 +7,11 @@ are exercised here (the slow pipelines have their own module tests).
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from boutroux.cli import main
+from boutroux.cli import _parse_grid, main
 from boutroux.config import RunConfig, load_config, parse_config
 from boutroux.errors import ConfigError
 
@@ -152,6 +153,15 @@ class TestCli:
         (["sum", "--C", "1,2,3"], "--C"),
         (["poles", "--n", "5..x"], "--n"),
         (["invariants", "--s0", "-0.1,i"], "--s0"),
+        (["sum", "--grid", "nan:20:3"], "--grid"),
+        (["sum", "--grid", "8:20:0"], "--grid"),
+        (["integrate", "--radius", "0"], "--radius"),
+        (["integrate", "--radius", "nan"], "--radius"),
+        (["invariants", "--x0", "nan"], "--x0"),
+        (["invariants", "--x0", "0"], "--x0"),
+        (["poles", "--C", "0"], "--C"),
+        (["poles", "--n", "0"], "--n"),
+        (["integrate", "--radius", "1e300"], "--radius"),
     ])
     def test_malformed_option_is_usage_error(self, runner, args, option):
         """A malformed value ends in click's usage error naming the
@@ -162,3 +172,14 @@ class TestCli:
         assert "Usage:" in res.output
         assert "Invalid value for '%s'" % option in res.output
         assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("text", ["8:20:13", "10:14:3", "0.1:0.7:7",
+                                  "-3:5.5:11", "8:8:1", "8:8:4", "20:8:5",
+                                  "1e-3:1:1000", "0.3:1e5:97"])
+def test_grid_matches_linspace(text):
+    """The grid of ``sum --grid a:b:n`` is numpy's linspace(a, b, n), value
+    for value, so the CSV output does not move."""
+    a, b, n = text.split(":")
+    assert _parse_grid(None, None, text) == \
+        np.linspace(float(a), float(b), int(n)).tolist()

@@ -41,19 +41,34 @@ class TestCubic:
                 assert abs(r**3 / 3 + r**2 + s) < 1e-12
 
     def test_interior_exterior_split(self):
-        d = np.abs(cubic_roots(-0.5) - (-2.0))
+        d = np.abs(np.asarray(cubic_roots(-0.5)) - (-2.0))
         assert d[0] < 2.0 and d[1] < 2.0 and d[2] > 2.0
 
     def test_root_continuity_along_path(self):
         """Tracked roots move Lipschitz-continuously in s."""
         path = np.linspace(-0.9, -0.2, 80)
-        prev = cubic_roots(path[0])
+        prev = np.asarray(cubic_roots(path[0]))
         step = path[1] - path[0]
         for s in path[1:]:
-            cur = cubic_roots(s)
+            cur = np.asarray(cubic_roots(s))
             jump = np.max(np.abs(cur - prev))
             assert jump < 60 * abs(step)
             prev = cur
+
+    def test_matches_numpy_roots(self):
+        """The closed form against np.roots, compared as sets (for real
+        s > 0 the conjugate pair ties in distance to -2, so the order is
+        not fixed), on an s grid away from the guard around 0 and -4/3."""
+        grid = [complex(a, b) for a in (-3.0, -1.7, -1.0, -0.6, -0.2, 0.3,
+                                        1.5, 20.0) for b in (-0.8, 0.0, 0.4)]
+        for s in grid:
+            got = cubic_roots(s)
+            ref = np.roots([1.0 / 3.0, 1.0, 0.0, s])
+            dist = np.abs(np.subtract.outer(got, ref))
+            assert sorted(dist.argmin(axis=1)) == [0, 1, 2]
+            assert dist.min(axis=1).max() < 1e-12 * max(1.0, abs(ref).max())
+            d = [abs(r + 2.0) for r in got]
+            assert d == sorted(d)
 
     def test_degenerate_energies_guarded(self):
         for s in (0.01, -4.0 / 3.0 + 0.01):
@@ -99,7 +114,7 @@ class TestCycleIntegrals:
 class TestPeriodTable:
     def test_wronskian_constant(self):
         tab = solve_J_ode(S_GRID)
-        w = tab.wronskian
+        w = np.asarray(tab.wronskian)
         assert np.max(np.abs(w - w.mean())) < 1e-9
 
     def test_J_matches_quadrature(self):
@@ -131,7 +146,7 @@ class TestPeriodTable:
 
     def test_K_well_defined_near_zero(self):
         tab = solve_J_ode(np.linspace(-0.5, -0.1, 5))
-        assert np.all(np.isfinite(tab.Jhat / tab.J))
+        assert np.all(np.isfinite(np.asarray(tab.Jhat) / np.asarray(tab.J)))
 
     def test_continuation_through_singular_point_fails(self):
         """The segments -0.5 -> -1.5 and -0.5 -> 0.5 run through rho's

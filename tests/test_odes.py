@@ -529,7 +529,7 @@ class TestFarFieldInit:
             odes._seed_series.cache_clear()
             with mp.workdps(dps):
                 state, err = far_field_init(1.0, x0)
-            seen.append((state.tolist(), err))
+            seen.append((list(state), err))
         assert seen[0] == seen[1]
 
     def test_matches_40_digit_sum(self):

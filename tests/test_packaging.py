@@ -35,3 +35,16 @@ def test_import_does_not_load_scipy():
 def test_scipy_not_a_dependency():
     with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
         assert "scipy" not in fh.read()
+
+
+def test_numpy_only_in_connection():
+    """numpy serves the least-squares fits of connection alone; every other
+    module computes in mpmath and Python floats and complex numbers."""
+    src = os.path.join(ROOT, "src", "boutroux")
+    users = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                if "numpy" in fh.read():
+                    users.append(name)
+    assert users == ["connection.py"]
