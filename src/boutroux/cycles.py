@@ -207,12 +207,6 @@ def _ode_continue(s0, y0, s1):
     s0, s1 = complex(s0), complex(s1)
     if s1 == s0:
         return complex(y0[0]), complex(y0[1])
-    for p, name in ((0.0, "0"), (-4.0 / 3.0, "-4/3")):
-        z = (s0 - p).conjugate() * (s1 - p)  # real, <= 0 when p in [s0, s1]
-        if z.imag == 0 and z.real <= 0:
-            raise MatchFailureError(
-                "period ODE continuation failed: segment %s -> %s passes "
-                "through the singular point s = %s" % (s0, s1, name))
     try:
         _, y, _, _ = solve_ivp(_period_series, s0, s1, y0,
                                singular=(0.0, -4.0 / 3.0))

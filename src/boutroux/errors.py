@@ -42,16 +42,15 @@ class QuadratureError(BoutrouxError):
 
 
 class StepFailureError(BoutrouxError):
-    """The Taylor stepper could not advance: non-finite coefficients or a
-    step that underflows, or a segment through the singular point x = 0."""
+    """The Taylor stepper could not advance: a non-finite state or
+    coefficients, a step that underflows, a segment through a singular
+    point, or a pole whose Laurent series does not fit or reach the edge of
+    its disc."""
 
 
 class ChartDeadlockError(BoutrouxError):
-    """Chart switching made no headway.
-
-    Raised for more than ``odes.MAX_SWITCHES`` switches on one path, and
-    when ``locate_pole`` finds no pole near its prediction.
-    """
+    """``locate_pole`` found no pole near its prediction: the path to it
+    never entered a pole chart."""
 
 
 class OutsideRegionError(BoutrouxError):

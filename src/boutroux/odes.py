@@ -11,20 +11,18 @@ n = ceil(-ln(eps) / 2) + 1 (20 at eps = 1e-16) and the length
 min_j (eps / |a_j|)^{1/j} over the last two coefficients j = n - 1, n
 (Jorba and Zou, Exp. Math. 14, 2005), bounded by DIST_FRAC times the
 distance to the singular point x = 0; a path that passes just beside
-x = 0 shortens its steps instead of grinding.  Each step's polynomial is
-its dense output.
+x = 0 shortens its steps instead of grinding, and one through it is
+refused.
 
-Near poles (double poles with h ~ 12/(x-x0)^2) the state switches to the
-chart g = h(1 + h/3)^{-1}, in which a pole of h is a regular point with
-g = 3, g' = 0; its recurrence adds the products g'^2 and
-(c + t)^{-3} (3 - g)^2 and the series of g'^2/(3 - g).  A chart event is a
-root of |h| - ENTER_G (h-chart) or |h| - EXIT_G (g-chart) on a step's
-polynomial, found by bisection; the hysteresis between the thresholds
-avoids thrashing.  A pole is refined without further integration: the
-REFINE_ORDER-term g-series at the stored step centre nearest the candidate
-(one where |3 - g| > G_GAP, since the recurrence divides by 3 - g) is
-formed once, and Newton's method runs on its derivative g'.  The module
-also carries the coordinate map back to the standard Painleve I variables.
+Every pole of h is a double pole h = 12/(x - x0)^2 + ... whose Laurent
+series has one free coefficient, beta at order (x - x0)^4 (the Painleve
+property: the resonance at that order is consistent).  Where |h| exceeds
+ENTER_G on a step's polynomial (an event found by bisection, about 1.1
+from the pole), :func:`_refine_pole` fits (x0, beta) to (x, h, h') by
+Newton's method and records the pole; the path then crosses the disc
+|x - x0| < (12/EXIT_G)^{1/2} on the Laurent series and returns to the
+h-chart where it leaves the disc.  The module also carries the coordinate
+map back to the standard Painleve I variables.
 
 The Poincare map of :mod:`boutroux.cycles` stays fixed-step RK4 on the
 shared contour table: moving it onto this stepper changes the pinned map
@@ -42,42 +40,23 @@ from functools import lru_cache
 from operator import mul
 
 from .connection import BOREL_S
-from .errors import ChartDeadlockError, StepFailureError
+from .errors import ChartDeadlockError, NonConvergentSumError, StepFailureError
 from .series import EQP_COEFF, h0_series, level_series
 
 # x^{-4} coefficient of the h-equation right-hand side h'' = h + h^2/2 + ...
 EQ4 = float(-EQP_COEFF)
-# chart hysteresis: enter the g-chart above |h| = ENTER_G, leave below EXIT_G
+# the pole chart: fit a pole where |h| rises above ENTER_G, leave its
+# Laurent series at the radius where 12/|x - x0|^2 = EXIT_G
 ENTER_G = 10.0
 EXIT_G = 5.0
-MAX_SWITCHES = 400
+_EXIT_RADIUS = (12 / EXIT_G) ** 0.5
 # the fraction of the distance to the nearest singular point of the
 # equation that one Taylor step may cover
 DIST_FRAC = 0.5
-# terms of the g-series that refines a pole, and the least |3 - g| at its
-# centre (the g recurrence divides by 3 - g)
-REFINE_ORDER = 40
-G_GAP = 0.05
 
 
 # ---------------------------------------------------------------------------
-# Charts
-
-
-def h_from_g(state):
-    g, v = state
-    omg = 3.0 - g
-    return 3 * g / omg, 9 * v / (omg * omg)
-
-
-def g_from_h(state):
-    h, hp = state
-    oph = 3.0 + h
-    return 3 * h / oph, 9 * hp / (oph * oph)
-
-
-# ---------------------------------------------------------------------------
-# Taylor series of the charts and the stepper
+# Taylor and Laurent series, and the stepper
 
 
 def _series_h(c, h, hp, n):
@@ -98,31 +77,40 @@ def _series_h(c, h, hp, n):
     return a
 
 
-def _series_g(c, g, v, n):
-    """Taylor coefficients g_0..g_n at x = c of the g-chart solution through
-    (g, g'), from x g'' = x (g + g^2/6) + (EQ4/9) x^{-3} (3 - g)^2 - g'
-    - 2 x q with q = g'^2/(3 - g), whose coefficients follow from
-    (3 - g) q = g'^2 order by order."""
-    a = [complex(g), complex(v)]
-    om0 = 3.0 - a[0]
-    vs, qs, om2, es = [], [], [], []
-    e = EQ4 / (9 * c ** 3)
-    F_prev = q_prev = 0j
-    for k in range(n - 1):
-        vs.append((k + 1) * a[k + 1])
-        es.append(e)
-        sq = sum(map(mul, a[:k + 1], a[k::-1]))
-        om2.append(sq - 6 * a[k] + (9 if k == 0 else 0))
-        q = (sum(map(mul, vs, reversed(vs)))
-             + sum(map(mul, a[1:k + 1], reversed(qs)))) / om0
-        qs.append(q)
-        F = a[k] + sq / 6
-        w = sum(map(mul, es, reversed(om2)))
-        a.append((c * F + F_prev + w - vs[k] - 2 * (c * q + q_prev)
-                  - k * (k + 1) * a[k + 1]) / (c * (k + 1) * (k + 2)))
-        F_prev, q_prev = F, q
-        e *= -(k + 3) / ((k + 1) * c)
-    return a
+def _series_pole(x0, beta, n):
+    """Laurent coefficients b_{-2}..b_n of h about the pole x0 with
+    b_4 = beta, and the resonance residual.
+
+    The same equation at order t^{n-2}, x = x0 + t, gives b_{-2} = 12 and,
+    for every other n >= -1,
+    x0 (n-4)(n+3) b_n = x0 b_{n-2} + b_{n-3} + (x0/2) S'_{n-2}
+    + (1/2) S_{n-3} + e_{n-2} - (n-1)^2 b_{n-1},
+    with S_m the sum of b_i b_j over i + j = m, S' the same over
+    i, j >= -1, and e_m the coefficients of EQ4 (x0 + t)^{-3}.  Since
+    S_m = S'_m + 24 b_{m+2} for m >= -3, this is
+    x0 (n-4)(n+3) b_n = x0 F_{n-2} + F_{n-3} + e_{n-2}
+    + (12 - (n-1)^2) b_{n-1} with F = b + S'/2 for n >= 0, and
+    b_{-1} = -12/(5 x0).  At n = 4 the left side vanishes: the right side
+    there is the resonance residual, zero when the equation has the
+    Painleve property.  Returns (c, residual) with c[k] = b_{k-2}, so that
+    h = sum c[k] t^{k-2}.
+    """
+    a = [-2.4 / x0]                  # a[j] = b_{j-1}
+    e = EQ4 / x0 ** 3
+    F_prev = residual = 0j
+    for k in range(n + 1):
+        F = (a[k - 1] if k else 12.0) + 0.5 * sum(map(mul, a, reversed(a)))
+        b = x0 * F + F_prev + (12 - (k - 1) ** 2) * a[k]
+        if k > 1:
+            b += e
+            e *= -(k + 1) / ((k - 1) * x0)
+        if k == 4:
+            residual, b = b, beta
+        else:
+            b /= x0 * (k - 4) * (k + 3)
+        a.append(b)
+        F_prev = F
+    return [12.0] + a, residual
 
 
 def _horner(cs, t):
@@ -132,6 +120,12 @@ def _horner(cs, t):
         d = d * t + y
         y = y * t + c
     return y, d
+
+
+def _pole_state(cs, t):
+    """(h, h') at distance t from the pole of the Laurent coefficients cs."""
+    p, dp = _horner(cs, t)
+    return p / t ** 2, (dp - 2 * p / t) / t ** 2
 
 
 def _accurate_radius(cs, eps):
@@ -144,6 +138,11 @@ def _accurate_radius(cs, eps):
         if m > 0:
             r = min(r, (eps / m) ** (1.0 / j))
     return r
+
+
+def _order(eps):
+    """The stepper's order for the local tolerance eps."""
+    return max(4, math.ceil(-0.5 * math.log(eps)) + 1)
 
 
 def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
@@ -159,15 +158,25 @@ def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
     The integration stops where ``event(y)`` passes from <= 0 to > 0 at
     the end of a step, located by bisection on the step's polynomial.
     Returns (x_end, (y, y') at x_end, steps, hit) with steps a list of
-    (centre, end, coefficients).  Raises StepFailureError when a step
-    yields non-finite coefficients or underflows.
+    (centre, end, coefficients).  Raises StepFailureError, before any
+    step, for a non-finite start state or a segment through a point of
+    ``singular``, and when a step yields non-finite coefficients or
+    underflows.
     """
     x, x1 = complex(x0), complex(x1)
     y, yp = complex(y0[0]), complex(y0[1])
+    if not (cmath.isfinite(y) and cmath.isfinite(yp)):
+        raise StepFailureError("non-finite state (%s, %s) at x = %s"
+                               % (y, yp, x))
+    for p in singular:
+        z = (x - p).conjugate() * (x1 - p)  # real, <= 0 when p in [x, x1]
+        if z.imag == 0 and z.real <= 0:
+            raise StepFailureError("segment %s -> %s passes through the "
+                                   "singular point x = %s" % (x, x1, p))
     steps, hit = [], False
     while x != x1 and not hit:
         eps = atol + rtol * abs(y)
-        cs = series(x, y, yp, max(4, math.ceil(-0.5 * math.log(eps)) + 1))
+        cs = series(x, y, yp, _order(eps))
         if not all(map(cmath.isfinite, cs)):
             raise StepFailureError("Taylor coefficients overflow near "
                                    "x = %s" % x)
@@ -197,13 +206,8 @@ def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
     return x, (y, yp), steps, hit
 
 
-def _enter_g(h):
+def _enter_pole(h):
     return abs(h) - ENTER_G
-
-
-def _exit_g(g):
-    # EXIT_G - |h| with h = 3g/(3 - g), times |3 - g|: no division at g = 3
-    return EXIT_G * abs(3 - g) - 3 * abs(g)
 
 
 # ---------------------------------------------------------------------------
@@ -230,46 +234,28 @@ def map_x_to_z(x, h, hp):
 
 
 # ---------------------------------------------------------------------------
-# Traces
+# Traces and poles
 
 
 @dataclass
 class PoleRecord:
-    """A double pole of h found in the g-chart."""
+    """A double pole of h, fitted where a path entered its disc."""
 
     location: complex
-    witness: float = 0.0  # |g - 3| at the refined location
-
-
-@dataclass
-class TraceSegment:
-    """One Taylor step x0 -> x1: the chart's (y, y') near the step is
-    sum coeffs[k] (x - x0)^k and its derivative."""
-
-    x0: complex
-    x1: complex
-    chart: str
-    coeffs: list
-
-    def __call__(self, x):
-        return _horner(self.coeffs, complex(x) - self.x0)
+    witness: float = 0.0  # relative mismatch of the fit's (h, h')
 
 
 @dataclass
 class SolutionTrace:
-    """Result of a path integration: samples, dense segments, poles."""
+    """Result of a path integration: samples and poles."""
 
-    samples: list = field(default_factory=list)  # (x, state, chart)
-    segments: list = field(default_factory=list)
+    samples: list = field(default_factory=list)  # (x, (h, h'), chart)
     poles: list = field(default_factory=list)
 
     @property
     def endpoint(self):
-        return self.state_h(-1)
-
-    def state_h(self, i):
-        x, state, chart = self.samples[i]
-        return x, (h_from_g(state) if chart == "g" else state)
+        x, state, _ = self.samples[-1]
+        return x, state
 
     def to_json(self):
         import json
@@ -295,125 +281,102 @@ def arc_path(radius, theta0, theta1, max_chord=1.5):
 def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
     """Integrate along the polyline x0 -> path[0] -> ... -> path[-1].
 
-    ``state`` is (h, h') in the h-chart; ``rtol`` and ``atol`` set the local
-    error of a Taylor step (see :func:`solve_ivp`).  The integration
-    switches charts with hysteresis: enters the g-chart when |h| exceeds
-    ENTER_G and returns when |h| falls below EXIT_G.  A segment through the
-    singular point x = 0 raises StepFailureError before anything is
-    integrated.  Returns a :class:`SolutionTrace` with a sample at every
-    waypoint and chart switch and one dense segment per Taylor step.
+    ``state`` is (h, h'); ``rtol`` and ``atol`` set the local error of a
+    Taylor step (see :func:`solve_ivp`).  Where |h| rises above ENTER_G
+    the pole is fitted by :func:`_refine_pole` and recorded in the trace,
+    and the path crosses the disc of radius (12/EXIT_G)^{1/2} about it on
+    the Laurent series (chart "pole").  A segment through the singular
+    point x = 0 raises StepFailureError.  Returns a :class:`SolutionTrace`
+    with a sample at every waypoint and chart switch.
     """
+    x = complex(x0)
     state = complex(state[0]), complex(state[1])
-    x0 = complex(x0)
-    points = [x0] + [complex(p) for p in path]
-    for a, b in zip(points, points[1:]):
-        z = a.conjugate() * b  # real and <= 0 when 0 lies on [a, b]
-        if z.imag == 0 and z.real <= 0:
-            raise StepFailureError("segment %s -> %s passes through the "
-                                   "singular point x = 0" % (a, b))
-    chart = "h"
-    trace = SolutionTrace()
-    trace.samples.append((x0, state, chart))
-    switches = 0
-
-    for target in points[1:]:
-        if target == x0:
-            continue
-        hit = True
-        while hit:
-            series, event = ((_series_h, _enter_g) if chart == "h"
-                             else (_series_g, _exit_g))
-            x0, state, steps, hit = solve_ivp(series, x0, target, state,
-                                              event=event, rtol=rtol,
-                                              atol=atol)
-            trace.segments.extend(TraceSegment(a, b, chart, cs)
-                                  for a, b, cs in steps)
-            if hit:
-                switches += 1
-                if switches > MAX_SWITCHES:
-                    raise ChartDeadlockError(
-                        "more than %d chart switches; integration is "
-                        "thrashing near x = %s" % (MAX_SWITCHES, x0))
-                if chart == "h":
-                    state, chart = g_from_h(state), "g"
+    trace = SolutionTrace(samples=[(x, state, "h")])
+    pole = None  # (x0, Laurent coefficients) inside a pole's disc
+    for target in map(complex, path):
+        while x != target:
+            if pole is None:
+                x, state, _, hit = solve_ivp(_series_h, x, target, state,
+                                             event=_enter_pole, rtol=rtol,
+                                             atol=atol)
+                if hit:
+                    rec, cs = _refine_pole(x, state,
+                                           atol + rtol * abs(state[0]))
+                    trace.poles.append(rec)
+                    pole = rec.location, cs
+            else:
+                # leave the disc where |x + s d - x_p| = _EXIT_RADIUS, s > 0
+                x_p, cs = pole
+                d, u = target - x, x - x_p
+                b, dd = (u.conjugate() * d).real, abs(d) ** 2
+                s = (math.sqrt(b * b + dd * (_EXIT_RADIUS ** 2 - abs(u) ** 2))
+                     - b) / dd
+                if s < 1:
+                    x, pole = x + s * d, None
                 else:
-                    state, chart = h_from_g(state), "h"
-            trace.samples.append((x0, state, chart))
+                    x = target
+                state = _pole_state(cs, x - x_p)
+            trace.samples.append((x, state, "h" if pole is None else "pole"))
     return trace
 
 
+def _refine_pole(x, state, eps):
+    """Fit the pole (x0, beta) whose Laurent series passes through
+    (x, h, h') = (x, state).
+
+    Newton's method on the 2x2 system h(x; x0, beta) = h,
+    h'(x; x0, beta) = h', from beta = 0 and x0 = x + 2(h + 1)/h', the pole
+    of 12/(x - x0)^2 - 1 (b_0 = -1 + O(x0^{-2})).  The residual takes the
+    series to twice the stepper's order n at eps, the Jacobian forward
+    differences of the series to order n: at order n a series meets eps
+    out to about e^{-2} of its radius of convergence (the Jorba-Zou step),
+    at 2n out to about e^{-1} of it.  The fitted series must meet eps, by
+    its last two terms, out to the exit radius (12/EXIT_G)^{1/2}, which
+    must contain x.  Returns (PoleRecord,
+    Laurent coefficients of the fit) with the witness the larger relative
+    mismatch of h and h' at x.  Raises StepFailureError when Newton's
+    method breaks down or does not settle, or the series fails that
+    check.
+    """
+    h, hp = state
+    n = _order(eps)
+
+    def mismatch(x0, beta, m):
+        fh, fp = _pole_state(_series_pole(x0, beta, m)[0], x - x0)
+        return fh - h, fp - hp
+
+    cs, d = None, 1e-7
+    try:
+        x0, beta = x + 2 * (h + 1) / hp, 0j
+        for _ in range(40):
+            f, g = mismatch(x0, beta, 2 * n)
+            f0, g0 = mismatch(x0, beta, n)
+            fa, ga = mismatch(x0 + d, beta, n)
+            fb, gb = mismatch(x0, beta + d, n)
+            j00, j01, j10, j11 = fa - f0, fb - f0, ga - g0, gb - g0
+            det = (j00 * j11 - j01 * j10) / d
+            step = (f * j11 - g * j01) / det
+            x0, beta = x0 - step, beta - (j00 * g - j10 * f) / det
+            if abs(step) <= 4 * math.ulp(abs(x0)):
+                cs, _ = _series_pole(x0, beta, 2 * n)
+                break
+    except (ZeroDivisionError, OverflowError):
+        pass  # Newton's method broke down: cs is None
+    if not (cs and all(map(cmath.isfinite, cs))
+            and abs(x - x0) < _EXIT_RADIUS <= _accurate_radius(cs, eps)):
+        raise StepFailureError("no Laurent series through the state at "
+                               "x = %s reaches the edge of its disc" % x)
+    fh, fp = _pole_state(cs, x - x0)
+    witness = max(abs(fh - h) / abs(h), abs(fp - hp) / abs(hp))
+    return PoleRecord(location=x0, witness=witness), cs
+
+
 def detect_poles(trace, tol=1e-10):
-    """Refine the g = 3 approaches of a trace's g-chart steps to poles of h.
-
-    Samples |g - 3| on the steps' polynomials; each local minimum below 0.8
-    is refined by :func:`_refine_pole`, and a refinement is kept when its
-    witness |g - 3| is below ``tol``.  Returns deduplicated
-    :class:`PoleRecord` entries.
-    """
-    samples = []
-    for seg in (seg for seg in trace.segments if seg.chart == "g"):
-        dx = seg.x1 - seg.x0
-        m = max(8, int(40 * abs(dx)) + 2)
-        samples += [(abs(seg(seg.x0 + dx * j / m)[0] - 3.0),
-                     seg.x0 + dx * j / m) for j in range(m)]
-    candidates = [samples[i] for i in range(1, len(samples) - 1)
-                  if samples[i][0] <= min(samples[i - 1][0],
-                                          samples[i + 1][0])
-                  and samples[i][0] < 0.8]
-    # best candidates first; a near-exact pole passage leaves a wake of
-    # spurious g ~ 3 samples behind it, suppressed by the exclusion radius
-    candidates.sort(key=lambda c: c[0])
-    found = []
-    for _, x_c in candidates:
-        if any(abs(x_c - p.location) < 1.0 for p in found):
-            continue
-        rec = _refine_pole(trace, x_c, tol)
-        if rec is not None and all(abs(rec.location - p.location) > 1.0
-                                   for p in found):
-            found.append(rec)
-    found.sort(key=lambda p: (p.location.imag, p.location.real))
-    trace.poles = found
-    return found
-
-
-def _refine_pole(trace, x_c, tol):
-    """Newton on g'(x) = 0 on the local g-series, from the candidate x_c.
-
-    The centre is the stored step start or sample of ``trace`` nearest x_c
-    at which |3 - g| > G_GAP; the REFINE_ORDER-term g-series there is
-    formed once, and Newton's method runs on its derivative (a simple zero
-    at the pole, since g - 3 ~ -(3/4)(x - x0)^2).  Returns None when an
-    iterate leaves the radius within which the series' last two terms stay
-    below 1e-16 max(1, |g|), or when the witness |g - 3| at the limit
-    exceeds ``tol``.
-    """
-    x_c = complex(x_c)
-    states = [(s.x0, s.coeffs[:2], s.chart) for s in trace.segments]
-    centres = [(x, g_from_h(st) if chart == "h" else st)
-               for x, st, chart in states + trace.samples]
-    centres = [(x, gv) for x, gv in centres
-               if cmath.isfinite(gv[0]) and abs(3.0 - gv[0]) > G_GAP]
-    if not centres:
-        return None
-    centre, (g, v) = min(centres, key=lambda c: abs(c[0] - x_c))
-    cs = _series_g(centre, g, v, REFINE_ORDER)
-    radius = _accurate_radius(cs, 1e-16 * max(1.0, abs(g)))
-    dcs = [k * c for k, c in enumerate(cs)][1:]
-    t = x_c - centre
-    for _ in range(40):
-        d, dd = _horner(dcs, t)
-        if dd == 0:
-            return None
-        step = -d / dd
-        t += step
-        if abs(t) > radius:
-            return None
-        if abs(step) <= 4 * math.ulp(abs(centre + t)):
-            break
-    witness = abs(_horner(cs, t)[0] - 3.0)
-    if witness > tol:
-        return None
-    return PoleRecord(location=centre + t, witness=witness)
+    """The poles fitted along ``trace`` whose witness is at most ``tol``,
+    sorted by imaginary and then real part; also stored in trace.poles."""
+    trace.poles = sorted((p for p in trace.poles if p.witness <= tol),
+                         key=lambda p: (p.location.imag, p.location.real))
+    return trace.poles
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +410,9 @@ def far_field_init(C, x0):
     (state, err_est) where err_est adds the first omitted non-zero term of
     every series (its last stored term where the table ends first), the
     optimal-truncation floor, the first omitted level and the rounding
-    bound of the sums.  Warns when it exceeds 1e-8.
+    bound of the sums.  Warns when it exceeds 1e-8, and raises
+    NonConvergentSumError when the seed or its estimate overflows complex
+    double (|C| or |q| far out of range).
 
     The Borel-summed transseries is not used as a seed: at the seeds of
     locate_pole (n = 5, 10, 15, C = 1) and 30 digits, sum_transseries needs
@@ -457,7 +422,10 @@ def far_field_init(C, x0):
     x0 = complex(x0)
     N = int(min(max(abs(x0), 8), SEED_ORDER))
     N -= N % 2
-    q = complex(C) * cmath.exp(-x0)
+    try:
+        q = complex(C) * cmath.exp(-x0)
+    except OverflowError:
+        q = complex(math.inf)
     u, au = 1 / x0, 1 / abs(x0)
     h = hp = 0j
     # optimal-truncation floor: the least term of the divergent series is
@@ -492,6 +460,10 @@ def far_field_init(C, x0):
         err += sizes[-1] * min(sizes[-1] / sizes[-2], 1.0) \
             if sizes[-2] > 0 else sizes[-1]
     err += rounding
+    if not (cmath.isfinite(h) and cmath.isfinite(hp) and math.isfinite(err)):
+        raise NonConvergentSumError(
+            "far-field seed at x0 = %s for C = %s overflows complex double"
+            % (x0, C))
     if err > 1e-8:
         warnings.warn("far-field seed error estimate %.2e exceeds 1.00e-08; "
                       "move the seed outward" % err)
@@ -553,19 +525,17 @@ def locate_pole(n, C=1.0):
     """Refine pole n of the first array, seeded far afield.
 
     Integrates from the far-field seed at prediction + 4 + 0.3i to
-    prediction + 0.4 + 0.1i, short of the pole, and refines the pole on the
-    local g-series there.  Returns (predicted, record): the four-order
-    asymptotic prediction and the refined PoleRecord.
+    prediction + 0.4 + 0.1i, which enters the pole's disc, and reads the
+    pole off the Laurent fit there.  Returns (predicted, record): the
+    four-order asymptotic prediction and the fitted PoleRecord.
     """
     from .twoscale import predict_pole
 
     pred = complex(predict_pole(n, C).x_n)
     x0 = pred + 4.0 + 0.3j
     state, _ = far_field_init(C, x0)
-    trace = integrate_path(x0, state, [pred + 0.4 + 0.1j])
-    rec = _refine_pole(trace, pred, 1e-10)
-    if rec is None:
+    poles = detect_poles(integrate_path(x0, state, [pred + 0.4 + 0.1j]))
+    if not poles:
         raise ChartDeadlockError("no pole detected near prediction for "
                                  "n = %d" % n)
-    trace.poles = [rec]
-    return pred, rec
+    return pred, min(poles, key=lambda p: abs(p.location - pred))

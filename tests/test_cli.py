@@ -148,6 +148,18 @@ class TestCli:
         assert res.exit_code == 2
         assert "No such option" in res.output
 
+    @pytest.mark.parametrize("args", [
+        ["poles", "--C", "1e300", "--n", "5"],
+        ["integrate", "--C", "1e300"],
+        ["poles", "--C", "1e-300", "--n", "5"],
+    ])
+    def test_seed_out_of_range_is_reported(self, runner, args):
+        """A C so large or small that the far-field seed overflows complex
+        double is reported as JSON with exit code 2, not a traceback."""
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert json.loads(res.output)["error"] == "NonConvergentSumError"
+
     @pytest.mark.parametrize("args, option", [
         (["sum", "--grid", "20,30"], "--grid"),
         (["sum", "--C", "1,2,3"], "--C"),
@@ -162,6 +174,7 @@ class TestCli:
         (["poles", "--C", "0"], "--C"),
         (["poles", "--n", "0"], "--n"),
         (["integrate", "--radius", "1e300"], "--radius"),
+        (["invariants", "--steps", "-1"], "--steps"),
     ])
     def test_malformed_option_is_usage_error(self, runner, args, option):
         """A malformed value ends in click's usage error naming the

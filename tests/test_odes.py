@@ -1,9 +1,9 @@
-"""ODE engine: charts, coordinate maps, path integration, poles, seeding.
+"""ODE engine: series, coordinate maps, path integration, poles, seeding.
 
-Oracles: the chain rule through g = 3h/(3+h) for the chart right-hand
-sides, Painleve I itself for the coordinate maps, the Borel-summed
-transseries for far-field values, and the four-order pole-location
-asymptotics cross-checked against detected poles.
+Oracles: the h-equation's right-hand side for the Taylor and Laurent
+series, Painleve I itself for the coordinate maps, detours that keep away
+from a pole for passages through it, the Borel-summed transseries for
+far-field values, and a 32-digit Taylor run for pole locations.
 """
 
 import cmath
@@ -20,19 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boutroux
-from boutroux.errors import ChartDeadlockError, StepFailureError
+from boutroux.errors import StepFailureError
 from boutroux.odes import (
     EQ4,
     FAR_FIELD_LEVELS,
     _Z_FACTOR,
-    _series_g,
     _series_h,
+    _series_pole,
     arc_path,
     continue_around,
     detect_poles,
     far_field_init,
-    g_from_h,
-    h_from_g,
     integrate_path,
     locate_pole,
     map_x_to_z,
@@ -43,9 +41,9 @@ cnum = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
                           allow_nan=False, allow_infinity=False)
 
 
-# Reference right-hand sides of the two charts and the inverse of
+# Reference right-hand side of the h-equation and the inverse of
 # map_x_to_z.  The package integrates through the series recurrences
-# _series_h and _series_g, which the tests below check against these.
+# _series_h and _series_pole, which the tests below check against these.
 
 
 def rhs_h(x, state):
@@ -54,22 +52,6 @@ def rhs_h(x, state):
         raise ValueError("the equation is singular at x = 0")
     h, hp = state
     return np.array([hp, h + h * h / 2 + EQ4 / x**4 - hp / x])
-
-
-def rhs_g(x, state):
-    """(g, g') for the pole chart g = h(1 + h/3)^{-1}.
-
-    Substituting h = 3g/(3-g) into the h-equation gives
-    g'' = g(3-g)/3 + g^2/2 + EQ4 x^{-4}(3-g)^2/9 - g'/x - 2g'^2/(3-g),
-    regular at g = 3 (a double pole of h).
-    """
-    if x == 0:
-        raise ValueError("the equation is singular at x = 0")
-    g, v = state
-    omg = 3.0 - g
-    vp = (g * omg / 3 + g * g / 2 + EQ4 / x**4 * omg * omg / 9
-          - v / x - 2 * v * v / omg)
-    return np.array([v, vp])
 
 
 def map_z_to_x(z, y, dydz):
@@ -105,45 +87,13 @@ class TestRightHandSides:
             # residual limited by the first omitted series term ~ c_24 x^{-24}
             assert abs(hpp - d2) < 1e-9
 
-    @given(cnum, cnum, cnum)
-    @settings(max_examples=50, deadline=None)
-    def test_g_chart_chain_rule(self, x, g, v):
-        """rhs_g is the h-equation pushed through g = 3h/(3+h).
-
-        Map (g, v) to (h, h'), apply rhs_h, and map the second derivative
-        back: h' = 9v/(3-g)^2 gives
-        g'' = (3-g)^2 h''/9 - 2 v^2/(3-g) ... checked numerically.
-        """
-        if abs(3.0 - g) < 0.3 or abs(x) < 0.3:
-            return
-        h, hp = h_from_g([g, v])
-        if abs(3.0 + h) < 0.3:
-            return
-        hpp = rhs_h(x, [h, hp])[1]
-        # differentiate g = 3h/(3+h) twice: g'' = 9 h''/(3+h)^2 - 18 h'^2/(3+h)^3
-        gpp_expected = 9 * hpp / (3 + h) ** 2 - 18 * hp * hp / (3 + h) ** 3
-        gpp = rhs_g(x, [g, v])[1]
-        scale = max(1.0, abs(gpp_expected))
-        assert abs(gpp - gpp_expected) < 1e-9 * scale
-
-    @given(cnum, cnum)
-    @settings(max_examples=50, deadline=None)
-    def test_chart_round_trip(self, h, hp):
-        if abs(3.0 + h) < 0.2:
-            return
-        g, v = g_from_h([h, hp])
-        h2, hp2 = h_from_g([g, v])
-        assert abs(h2 - h) < 1e-10 * max(1.0, abs(h))
-        assert abs(hp2 - hp) < 1e-10 * max(1.0, abs(hp))
-
     def test_singular_at_origin(self):
         with pytest.raises(ValueError):
             rhs_h(0.0, np.array([1.0, 1.0]))
 
 
 class TestTaylorSeries:
-    """The chart recurrences of the stepper against the right-hand sides
-    and against each other through g = 3h/(3+h)."""
+    """The Taylor and Laurent recurrences against the right-hand side."""
 
     X, H, HP = 6.0 + 9.0j, 0.4 - 0.3j, -0.2 + 0.5j
 
@@ -153,20 +103,43 @@ class TestTaylorSeries:
         hpp = rhs_h(self.X, [self.H, self.HP])[1]
         assert abs(2 * cs[2] - hpp) < 1e-14 * abs(hpp)
 
-    def test_g_series_is_the_h_series_through_the_chart(self):
-        """g = 3 - 9/(3 + h) composed with the h-series term by term (at
-        |h| << 3, where the division loses nothing) is the g-series."""
-        n = 20
-        hs = _series_h(self.X, self.H, self.HP, n)
-        w = [1 / (3 + hs[0])]                    # series of 1/(3 + h)
-        for k in range(1, n + 1):
-            w.append(-sum(hs[i] * w[k - i] for i in range(1, k + 1))
-                     / (3 + hs[0]))
-        want = [3 - 9 * w[0]] + [-9 * c for c in w[1:]]
-        g, v = g_from_h([self.H, self.HP])
-        got = _series_g(self.X, g, v, n)
-        for a, b in zip(got, want):
-            assert abs(a - b) < 1e-13 * max(1.0, abs(b))
+    def test_laurent_series_solves_the_h_equation(self):
+        """h = sum b_n t^n about a pole, t = x - x0, gives the h'' of the
+        right-hand side at points around the pole, with the free b_4 at a
+        value far from that of any pole of the truncated solutions."""
+        x0, beta = 8.0 + 30.0j, 0.3 - 0.2j
+        cs, _ = _series_pole(x0, beta, 60)
+        assert cs[:2] == [12.0, -2.4 / x0] and cs[6] == beta
+        for t in (0.5, 0.8j, -0.6 - 0.6j):
+            p, dp, ddp = (sum(c * math.perm(k, m) * t ** (k - m)
+                              for k, c in enumerate(cs) if k >= m)
+                          for m in (0, 1, 2))
+            h = p / t ** 2
+            hp = dp / t ** 2 - 2 * p / t ** 3
+            hpp = ddp / t ** 2 - 4 * dp / t ** 3 + 6 * p / t ** 4
+            want = rhs_h(x0 + t, [h, hp])[1]
+            assert abs(hpp - want) < 1e-13 * abs(want)
+
+    def test_resonance_residual_is_the_integrability_witness(self,
+                                                             monkeypatch):
+        """At n = 4 the Laurent recurrence leaves a residual instead of
+        b_4.  It vanishes to rounding at EQ4 = 392/625, the Painleve
+        value, and away from it grows linearly in the shift, like the
+        exact witness of twoscale."""
+        from boutroux import odes
+        from boutroux.twoscale import predict_pole
+
+        x0s = [complex(predict_pole(n, 1.0).x_n) for n in (5, 10, 15)]
+        for x0 in x0s:
+            assert abs(_series_pole(x0, 0, 6)[1]) < 1e-15
+        per_shift = []
+        for shift in (0.1, 0.5 - 392 / 625):
+            monkeypatch.setattr(odes, "EQ4", 392 / 625 + shift)
+            per_shift.append([_series_pole(x0, 0, 6)[1] / shift
+                              for x0 in x0s])
+        for a, b in zip(*per_shift):
+            assert abs(a) > 1e-10
+            assert abs(a - b) < 1e-4 * abs(a)
 
     def test_step_bounded_by_distance_to_singular_point(self):
         """With a loose tolerance the coefficient rule alone would cover
@@ -232,16 +205,29 @@ class TestIntegratePath:
         assert x == 10.0 and s[0] == 0.1
 
     def test_path_through_origin_refused(self, monkeypatch):
-        """A segment through the singular point x = 0 is refused before
-        any segment is integrated."""
-        def no_solve(*args, **kwargs):
-            raise AssertionError("integration started")
+        """A segment through the singular point x = 0 is refused before a
+        step is taken on it."""
+        centres = []
 
-        monkeypatch.setattr("boutroux.odes.solve_ivp", no_solve)
+        def series(c, *args):
+            centres.append(c)
+            return _series_h(c, *args)
+
+        monkeypatch.setattr("boutroux.odes._series_h", series)
         for x0, path in ((1.0, [-1.0]), (2.0 + 1j, [1j, -1j, 3.0]),
                          (1.0, [0.0])):
+            centres.clear()
             with pytest.raises(StepFailureError, match="x = 0"):
                 integrate_path(x0, (0.1, 0), path)
+            # only the segment 2 + i -> i before the refused one is stepped
+            assert all(c.imag == 1 and c.real > 0 for c in centres)
+
+    def test_non_finite_state_refused(self):
+        from boutroux.odes import solve_ivp
+
+        for state in ((math.nan, 0.0), (0.1, complex(math.inf, 0))):
+            with pytest.raises(StepFailureError, match="non-finite state"):
+                solve_ivp(_series_h, 10.0, 12.0, state)
 
     def test_path_beside_origin_ends(self):
         """A segment that passes 1e-6 from the singular point x = 0 ends
@@ -282,26 +268,30 @@ class TestIntegratePath:
             h, hp = state
             return hp * hp - h * h - h**3 / 3
 
-        _, e0 = tr.state_h(0)
-        _, e1 = tr.state_h(-1)
+        _, e0, _ = tr.samples[0]
+        _, e1 = tr.endpoint
         drift = abs(energy(e1) - energy(e0))
         assert drift < 5 * 6.0 / 14.0  # K * length / min|x|, generous K
 
-    def test_chart_switch_consistency(self):
-        """h reconstructed from the g-chart matches at switch samples."""
-        # a path that passes near a pole of the C=1 array
-        xp = -4.1975 + 30.5918j
-        x0 = xp + 4.0 + 0.3j
+    def test_straight_passage_matches_detours(self):
+        """From the n = 5 pole p, straight paths p + 3 + id -> p - 3 + id,
+        down to d = 0 straight through the pole, end where three detours
+        that stay at least 2 from p end, to 1e-12 relative."""
+        _, rec = locate_pole(5, 1.0)
+        p = rec.location
+        x0 = p + 4.0 + 0.3j
         s0, _ = far_field_init(1.0, x0)
-        tr = integrate_path(x0, s0, [xp - 1.0 + 0.3j])
-        charts = [c for _, _, c in tr.samples]
-        assert "g" in charts  # actually exercised the pole chart
-        for i in range(1, len(tr.samples)):
-            if tr.samples[i][2] != tr.samples[i - 1][2]:
-                x_a, sw = tr.state_h(i - 1)
-                x_b, sw2 = tr.state_h(i)
-                if x_a == x_b:
-                    assert abs(sw[0] - sw2[0]) < 1e-10 * max(1, abs(sw[0]))
+        for d in (0.5, 0.3, 0.1, 0.01, 0.001, 0.0):
+            a, b = p + 3 + 1j * d, p - 3 + 1j * d
+            _, sa = integrate_path(x0, s0, [a]).endpoint
+            straight = integrate_path(a, sa, [b])
+            assert [c for _, _, c in straight.samples] == [
+                "h", "pole", "h", "h"]
+            for off in (2.5j, -2.5j, 3.5j):
+                _, want = integrate_path(a, sa, [a + off, b + off, b]
+                                         ).endpoint
+                for got, ref in zip(straight.endpoint[1], want):
+                    assert abs(got - ref) < 1e-12 * abs(ref)
 
     def test_tolerance_halving(self):
         """Tighter tolerances reduce endpoint error at least 2x."""
@@ -347,18 +337,21 @@ class TestPoleDetection:
             _, s = tr2.endpoint
             assert abs(s[0] - 12 / d ** 2) < 0.15 * abs(12 / d ** 2)
 
-    def test_chart_thrashing_raises(self, monkeypatch):
-        """Crossing the n = 5 pole there, back and there again switches
-        charts three times, one more than the patched limit allows."""
+    def test_there_and_back_ends_at_the_seed(self):
+        """Across the n = 5 pole and back again, with a fit on each
+        passage, the path ends at its seed state."""
         from boutroux.twoscale import predict_pole
 
-        monkeypatch.setattr("boutroux.odes.MAX_SWITCHES", 2)
         pred = complex(predict_pole(5, 1.0).x_n)
-        x0, a = pred + 4.0 + 0.3j, pred - 1.0 + 0.3j
+        x0 = pred + 4.0 + 0.3j
         s0, _ = far_field_init(1.0, x0)
-        with pytest.raises(ChartDeadlockError,
-                           match="more than 2 chart switches"):
-            integrate_path(x0, s0, [a, x0, a], rtol=1e-11, atol=1e-13)
+        tr = integrate_path(x0, s0, [pred - 3.0 + 0.3j, x0])
+        x, s = tr.endpoint
+        assert x == x0
+        for got, want in zip(s, s0):
+            assert abs(got - want) < 1e-10 * abs(want)
+        first, back = (p.location for p in tr.poles)
+        assert abs(first - back) < 1e-12 * abs(first)
 
     def test_no_poles_on_quiet_path(self):
         x0 = 25.0 * cmath.exp(0.25j * cmath.pi)
@@ -600,7 +593,7 @@ class TestTraceExport:
         d = json.loads(tr.to_json())
         assert {"samples", "poles"} <= set(d)
         s = d["samples"][0]
-        assert s["chart"] in ("h", "g")
+        assert s["chart"] in ("h", "pole")
         assert len(s["x"]) == 2 and len(s["state"]) == 4
 
 
