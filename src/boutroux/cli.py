@@ -76,17 +76,11 @@ def _pole_C(ctx, param, text):
     return C
 
 
-def _positive(ctx, param, value):
-    if not 0 < value < math.inf:
-        raise click.BadParameter("expected a finite positive number; got %r"
-                                 % value)
-    return value
-
-
 def _radius(ctx, param, value):
-    # arc_path's waypoint list grows with the radius (1e300 never finishes
-    # building it); the default arc takes about 1 s at 1e3 and at 3e3,
-    # where it passes 57 and 172 poles
+    # the work grows with the radius: arc_path's waypoint list (1e300 never
+    # finishes building it; the default arc takes about 1 s at 1e3 and at
+    # 3e3, where it passes 57 and 172 poles), and the |x0|/2 cycles of
+    # invariants (3 s at 1e3; at 1e16 x + dx rounds to x and a cycle fails)
     if not 0 < value <= 1e3:
         raise click.BadParameter("expected 0 < radius <= 1e3; got %r" % value)
     return value
@@ -284,11 +278,11 @@ def stokes(obj):
 
 
 @main.command()
-@click.option("--x0", default=50.0, show_default=True, callback=_positive,
+@click.option("--x0", default=50.0, show_default=True, callback=_radius,
               help="|x0| (arg fixed at -pi/2 * 1.05)")
 @click.option("--s0", default="-0.1", show_default=True,
               callback=_parse_complex)
-@click.option("--steps", default=None, type=click.IntRange(min=0),
+@click.option("--steps", default=None, type=click.IntRange(0, 500),
               help="cycle count (default |x0|/2)")
 @click.pass_obj
 def invariants(obj, x0, s0, steps):

@@ -2,7 +2,7 @@
 
 The energy-like variable s = h'^2 - h^2 - h^3/3 is slow in the pole
 sector; with u = h as the angle-like variable and R(u, s) =
-sqrt(u^3/3 + u^2 + s) the equation becomes
+sqrt(u^3/3 + u^2 + s) = h' the h-equation becomes
 
     ds/du = -2 R/x + (784/625) x^-4,    dx/du = 1/R.
 
@@ -13,10 +13,11 @@ and s = -4/3 (the interior roots collide).  The period integrals
 
     J(s) = oint R du,    L(s) = oint du/R = 2 J'(s)
 
-satisfy J'' + rho J / 4 = 0 with rho = 5/(3s(3s+4)).  Iterating once
-around the cycle gives the Poincare map (x_n, s_n) -> (x_{n+1}, s_{n+1})
-with the adiabatic invariants Q = x J(s) and K_shifted = K(s_n) +
-2n/(x0 J(s0)), K = Jhat/(W J) with W the Wronskian of J and Jhat.
+satisfy J'' + rho J / 4 = 0 with rho = 5/(3s(3s+4)).  Following h = u
+once around the cycle on the h-equation's own flow gives the Poincare
+map (x_n, s_n) -> (x_{n+1}, s_{n+1}) with the adiabatic invariants
+Q = x J(s) and K_shifted = K(s_n) + 2n/(x0 J(s0)), K = Jhat/(W J) with W
+the Wronskian of J and Jhat.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ from fractions import Fraction
 from operator import mul, truediv
 
 from .errors import (
-    CycleBreakdownError,
     DegenerateCycleError,
     MatchFailureError,
+    NoConvergenceError,
     NoIntegerConsistencyError,
     StepFailureError,
 )
-from .odes import EQ4, solve_ivp
-
-#: inhomogeneity constant 2 * 392/625 of the s-equation
-S_SOURCE = 2 * EQ4
+from .odes import integrate_path, solve_ivp
 
 U_BASE = -4.0
 CYCLE_CENTER = -2.0
@@ -96,7 +94,8 @@ class Cycle:
 def _contour(cycle, n):
     """Read-only nodes u_j = u(j/n), j = 0..n, from the base point round
     to the closing node, and du/dt at each: the one discretisation of the
-    contour, read by the period quadrature and by the Poincare map."""
+    contour, read by the period quadrature and, as the targets of its
+    Newton steps, by the Poincare map."""
     u = tuple(cycle.center + cycle.radius
               * cmath.exp(1j * (math.pi + 2 * math.pi * (j / n)))
               for j in range(n + 1))
@@ -270,47 +269,46 @@ def jhat_at(s):
 # Poincare map
 
 
-def poincare_step(x_n, s_n, nsteps=1024, cycle=None, source=True,
-                  _rerouted=False):
+#: contour nodes the map visits in turn: with 16 or 24, Newton's steps can
+#: land on another root of h = -4 (from x = 30 e^{-0.3i}, s = -0.1 they do)
+MAP_NODES = 32
+#: Newton's stopping step at an intermediate node, and its step budget at
+#: any node (72 starts over |x| 15..100, four args and six s needed 6)
+MAP_NODE_TOL = 1e-3
+MAP_NEWTON_MAX = 20
+
+
+def poincare_step(x_n, s_n):
     """One traversal of the cycle: (x_n, s_n) -> (x_{n+1}, s_{n+1}).
 
-    Fixed-step RK4 on the 2 nsteps contour nodes (step i at nodes 2i,
-    2i+1, 2i+2) with continuous branch tracking of R, rerouted once onto
-    the contour shifted by 0.15i where R vanishes.  ``source=False`` drops
-    the 1/x terms (autonomous limit, s is then conserved exactly).
+    Follows h = u round the cycle on the h-equation's own flow (R = h',
+    s = h'^2 - h^2 - h^3/3): from (h, h') = (-4, sqrt(s_n - 16/3)) at x_n
+    it visits the MAP_NODES contour nodes u_j in turn by Newton steps
+    x <- x + (u_j - h)/h', each one segment of
+    :func:`boutroux.odes.integrate_path`, and leaves a node where the next
+    step would be at most MAP_NODE_TOL, or 4 ulps of x at the closing
+    node u = -4.  Returns x and s = h'^2 - h^2 - h^3/3 there.
+    Raises DegenerateCycleError for an s_n that ``Cycle.validate``
+    refuses, and NoConvergenceError when a node takes more than
+    MAP_NEWTON_MAX steps.
     """
-    cycle = cycle or Cycle()
-    u_tab, du_tab = _contour(cycle, 2 * nsteps)
-    x, s = complex(x_n), complex(s_n)
-    R_ref = cmath.sqrt(U_BASE**3 / 3.0 + U_BASE**2 + s)
-
-    def rhs(j, x, s, R_prev):
-        u, du = u_tab[j], du_tab[j]
-        R = cmath.sqrt(u**3 / 3.0 + u**2 + s)
-        if abs(R - R_prev) > abs(R + R_prev):
-            R = -R
-        if abs(R) < 1e-9:
-            raise CycleBreakdownError(
-                "R vanished on the contour at u = %s" % u)
-        ds = -2.0 * R / x + S_SOURCE / x ** 4 if source else 0.0
-        return du / R, du * ds, R
-
-    h = 1.0 / nsteps
-    try:
-        for j in range(0, 2 * nsteps, 2):
-            k1x, k1s, R_ref = rhs(j, x, s, R_ref)
-            k2x, k2s, _ = rhs(j + 1, x + h * k1x / 2, s + h * k1s / 2, R_ref)
-            k3x, k3s, _ = rhs(j + 1, x + h * k2x / 2, s + h * k2s / 2, R_ref)
-            k4x, k4s, _ = rhs(j + 2, x + h * k3x, s + h * k3s, R_ref)
-            x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-            s = s + h * (k1s + 2 * k2s + 2 * k3s + k4s) / 6.0
-    except CycleBreakdownError:
-        if _rerouted:
-            raise
-        shifted = Cycle(center=cycle.center + 0.15j, radius=cycle.radius)
-        return poincare_step(x_n, s_n, nsteps=nsteps, cycle=shifted,
-                             source=source, _rerouted=True)
-    return x, s
+    Cycle().validate(s_n)
+    u, _ = _contour(Cycle(), MAP_NODES)
+    x, h = complex(x_n), U_BASE
+    hp = cmath.sqrt(U_BASE**3 / 3 + U_BASE**2 + s_n)
+    for j in range(1, MAP_NODES + 1):
+        closing = j == MAP_NODES
+        target = U_BASE if closing else u[j]
+        for _ in range(MAP_NEWTON_MAX):
+            dx = (target - h) / hp
+            if abs(dx) <= (4 * math.ulp(abs(x)) if closing else MAP_NODE_TOL):
+                break
+            x, (h, hp) = integrate_path(x, (h, hp), [x + dx]).endpoint
+        else:
+            raise NoConvergenceError(
+                "Newton steps to the cycle node u = %s did not settle from "
+                "x = %s" % (target, x))
+    return x, hp * hp - h * h - h**3 / 3.0
 
 
 @dataclass

@@ -18,7 +18,7 @@ class RadiusExceededError(BoutrouxError):
 
 
 class NoConvergenceError(BoutrouxError):
-    """An accelerated limit or fit did not settle."""
+    """An accelerated limit, a fit or a Newton iteration did not settle."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -67,10 +67,6 @@ class ObstructionError(BoutrouxError):
 
 class DegenerateCycleError(BoutrouxError):
     """The cubic has (nearly) repeated roots; the cycle is invalid."""
-
-
-class CycleBreakdownError(BoutrouxError):
-    """R developed a zero on the integration contour."""
 
 
 class MatchFailureError(BoutrouxError):

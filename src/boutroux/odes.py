@@ -23,11 +23,6 @@ Newton's method and records the pole; the path then crosses the disc
 |x - x0| < (12/EXIT_G)^{1/2} on the Laurent series and returns to the
 h-chart where it leaves the disc.  The module also carries the coordinate
 map back to the standard Painleve I variables.
-
-The Poincare map of :mod:`boutroux.cycles` stays fixed-step RK4 on the
-shared contour table: moving it onto this stepper changes the pinned map
-values of its tests, which then need an independent refined-step
-reference first.
 """
 
 from __future__ import annotations

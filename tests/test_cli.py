@@ -175,6 +175,9 @@ class TestCli:
         (["poles", "--n", "0"], "--n"),
         (["integrate", "--radius", "1e300"], "--radius"),
         (["invariants", "--steps", "-1"], "--steps"),
+        (["invariants", "--x0", "1e6"], "--x0"),
+        (["invariants", "--x0", "1e300"], "--x0"),
+        (["invariants", "--steps", "501"], "--steps"),
     ])
     def test_malformed_option_is_usage_error(self, runner, args, option):
         """A malformed value ends in click's usage error naming the

@@ -1,8 +1,8 @@
 """Cycle integrals, period ODEs, Poincare map, and the mu equation.
 
 Oracles: finite differences of the quadrature values against the exact
-second-order ODEs, Cauchy-theorem contour invariance, the autonomous
-limit of the Poincare map, and the closed form mu = i sqrt(6/(5 pi)).
+second-order ODEs, Cauchy-theorem contour invariance, a refined-step RK4
+reference for the Poincare map, and the closed form mu = i sqrt(6/(5 pi)).
 """
 
 import cmath
@@ -11,8 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from boutroux import cycles
 from boutroux.cycles import (
+    U_BASE,
     Cycle,
+    _contour,
     cubic_roots,
     cycle_J,
     cycle_L,
@@ -25,13 +28,50 @@ from boutroux.cycles import (
     solve_stok2,
 )
 from boutroux.errors import (
-    CycleBreakdownError,
     DegenerateCycleError,
     MatchFailureError,
+    NoConvergenceError,
     NoIntegerConsistencyError,
 )
+from boutroux.odes import EQ4
 
 S_GRID = np.linspace(-1.25, -0.15, 20)
+# the x^-4 coefficient 784/625 of ds/du = -2R/x + S_SOURCE x^-4
+S_SOURCE = 2 * EQ4
+
+
+def rk4_map(x_n, s_n, nsteps):
+    """Reference Poincare map: fixed-step RK4 on the (x, s) system
+    dx/du = 1/R, ds/du = -2R/x + S_SOURCE x^-4 over the 2 nsteps contour
+    nodes (step i at nodes 2i, 2i+1, 2i+2), with R tracked by continuity
+    from sqrt(u^3/3 + u^2 + s_n) at u = -4.  Its error falls like nsteps^-4:
+    8.5e-11 relative in x at 1,024 steps."""
+    u_tab, du_tab = _contour(Cycle(), 2 * nsteps)
+    x, s = complex(x_n), complex(s_n)
+    R_ref = cmath.sqrt(U_BASE**3 / 3.0 + U_BASE**2 + s)
+
+    def rhs(j, x, s, R_prev):
+        u, du = u_tab[j], du_tab[j]
+        R = cmath.sqrt(u**3 / 3.0 + u**2 + s)
+        if abs(R - R_prev) > abs(R + R_prev):
+            R = -R
+        return du / R, du * (-2.0 * R / x + S_SOURCE / x ** 4), R
+
+    h = 1.0 / nsteps
+    for j in range(0, 2 * nsteps, 2):
+        k1x, k1s, R_ref = rhs(j, x, s, R_ref)
+        k2x, k2s, _ = rhs(j + 1, x + h * k1x / 2, s + h * k1s / 2, R_ref)
+        k3x, k3s, _ = rhs(j + 1, x + h * k2x / 2, s + h * k2s / 2, R_ref)
+        k4x, k4s, _ = rhs(j + 2, x + h * k3x, s + h * k3s, R_ref)
+        x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        s = s + h * (k1s + 2 * k2s + 2 * k3s + k4s) / 6.0
+    return x, s
+
+
+def assert_near_reference(got, ref, tol):
+    """x relative, s absolute, as the map's accuracy is stated."""
+    assert abs(got[0] - ref[0]) <= tol * abs(ref[0])
+    assert abs(got[1] - ref[1]) <= tol
 
 
 class TestCubic:
@@ -167,10 +207,6 @@ class TestPeriodTable:
 class TestPoincareMap:
     X0 = 50 * cmath.exp(-1j * math.pi / 2 * 1.05)
 
-    def test_autonomous_limit_conserves_s(self):
-        _, s1 = poincare_step(self.X0, -0.1, source=False)
-        assert s1 == -0.1
-
     def test_leading_behavior(self):
         x1, s1 = poincare_step(self.X0, -0.1)
         J, L = cycle_J(-0.1), cycle_L(-0.1)
@@ -178,38 +214,55 @@ class TestPoincareMap:
         assert abs(abs(x1 - self.X0) - abs(L)) < 0.05 * abs(L) + 0.1
         assert abs((s1 + 0.1) - (-2 * J / self.X0)) < 0.5 * abs(2 * J / self.X0)
 
-    def test_step_size_independence(self):
-        a = poincare_step(self.X0, -0.1, nsteps=512)
-        b = poincare_step(self.X0, -0.1, nsteps=1024)
-        assert abs(a[0] - b[0]) < 1e-8
-        assert abs(a[1] - b[1]) < 1e-10
+    @pytest.mark.parametrize("r, arg, s0", [
+        (r, arg, -0.1) for r in (15, 30, 100)
+        for arg in (-0.3, -1.05 * math.pi / 2, -2.5)
+    ] + [(30, -0.3, -0.5 + 0.1j), (30, -1.0, -0.9 - 0.1j),
+         (100, -2.5, -0.3 + 0.01j), (15, -1.0, -0.2 + 0.3j)])
+    def test_matches_rk4_reference(self, r, arg, s0):
+        """The map against RK4 at 4,096 steps (about 3e-13 from its own
+        limit) on a sweep of starts; with 16 or 24 contour nodes in place
+        of 32 the start r = 30, arg -0.3, s0 = -0.1 fails."""
+        x0 = r * cmath.exp(1j * arg)
+        assert_near_reference(poincare_step(x0, s0), rk4_map(x0, s0, 4096),
+                              1e-11)
 
     def test_pinned_values(self):
         """One step and a 25-cycle run reproduce recorded map values, so a
-        change of the RK4 stage nodes shows."""
-        x1, s1 = poincare_step(self.X0, -0.1)
-        x_ref = -12.470029333992708 - 50.80748212998418j
-        s_ref = -0.13952046721861616 + 0.16118533766281035j
-        assert abs(x1 - x_ref) <= 1e-14 * abs(x_ref)
-        assert abs(s1 - s_ref) <= 1e-14 * abs(s_ref)
+        change of the stepper shows; the pins lie within 1e-11 of the RK4
+        reference at 4,096 steps."""
+        x_ref = -12.470029334007249 - 50.807482129900514j
+        s_ref = -0.13952046721875178 + 0.16118533766280957j
+        assert_near_reference(poincare_step(self.X0, -0.1), (x_ref, s_ref),
+                              1e-14)
+        assert_near_reference((x_ref, s_ref), rk4_map(self.X0, -0.1, 4096),
+                              1e-11)
         states = run_cycles(self.X0, -0.1, 25)
         assert len(states) == 26
-        x_ref = -170.83682812632344 - 62.75485571795528j
-        s_ref = -1.1693650960928208 + 0.34275616935455716j
-        assert abs(states[-1].x_n - x_ref) <= 1e-13 * abs(x_ref)
-        assert abs(states[-1].s_n - s_ref) <= 1e-13 * abs(s_ref)
+        x_ref = -170.83682812638872 - 62.754855717839675j
+        s_ref = -1.1693650960928927 + 0.34275616935390557j
+        assert_near_reference((states[-1].x_n, states[-1].s_n),
+                              (x_ref, s_ref), 1e-13)
+        x, s = self.X0, -0.1
+        for _ in range(25):
+            x, s = rk4_map(x, s, 4096)
+        assert_near_reference((x_ref, s_ref), (x, s), 1e-11)
 
-    def test_breakdown_reroutes_once(self):
-        """R = 0 at the base node: the step reroutes onto the contour
-        shifted by 0.15i, and a breakdown there is not rerouted again."""
-        u0 = complex(-2 + 2 * np.exp(1j * np.pi))
-        s0 = -(u0**3 / 3 + u0**2)
-        x1, s1 = poincare_step(self.X0, s0)
-        assert np.isfinite(x1) and np.isfinite(s1)
-        assert (x1, s1) == poincare_step(self.X0, s0,
-                                         cycle=Cycle(center=-2 + 0.15j))
-        with pytest.raises(CycleBreakdownError):
-            poincare_step(self.X0, s0, _rerouted=True)
+    def test_degenerate_start_raises(self):
+        """s0 = 16/3 puts R = 0 at the base node u = -4: the cubic has a
+        root on the contour, and the map refuses the start as run_cycles
+        does."""
+        with pytest.raises(DegenerateCycleError):
+            poincare_step(self.X0, 16 / 3)
+        with pytest.raises(DegenerateCycleError):
+            run_cycles(self.X0, 16 / 3, 1)
+
+    def test_unsettled_newton_raises(self, monkeypatch):
+        """One Newton step cannot reach the first node from the base
+        point, so a budget of one step ends in NoConvergenceError."""
+        monkeypatch.setattr(cycles, "MAP_NEWTON_MAX", 1)
+        with pytest.raises(NoConvergenceError, match="did not settle"):
+            poincare_step(self.X0, -0.1)
 
 
 class TestRunCycles:

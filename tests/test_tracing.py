@@ -4,7 +4,9 @@
 package, so renaming or deleting one of them breaks traced benchmark runs
 without breaking any package test.  This test installs the tracer, checks
 that every name it lists was wrapped (count-only names: where the package
-defines them), uninstalls it and checks that every attribute is restored.
+defines them) and that every span name a counter reads was given to a
+package function, uninstalls it and checks that every attribute is
+restored.
 """
 
 import importlib
@@ -42,8 +44,19 @@ def test_install_wraps_listed_names_and_uninstall_restores():
                if name not in before[m]]
 
     tracer = tracing.Tracer()
+    # the span names install gives out; a counter whose span name is not
+    # among them would read 0 without any error
+    span_names, span_wrapper = set(), tracer._span_wrapper
+
+    def recording_wrapper(fn, name, layer):
+        span_names.add(name)
+        return span_wrapper(fn, name, layer)
+
+    tracer._span_wrapper = recording_wrapper
     try:
         tracer.install(boutroux)
+        for name in tracing.CALL_COUNTERS:
+            assert name in span_names, "no package function %s" % name
         for m, name in listed:
             assert name in before[m], "%s.%s is gone" % (m, name)
         for m, name in listed + counted:
