@@ -79,10 +79,17 @@ def _pole_C(ctx, param, text):
 def _radius(ctx, param, value):
     # the work grows with the radius: arc_path's waypoint list (1e300 never
     # finishes building it; the default arc takes about 1 s at 1e3 and at
-    # 3e3, where it passes 57 and 172 poles), and the |x0|/2 cycles of
-    # invariants (3 s at 1e3; at 1e16 x + dx rounds to x and a cycle fails)
+    # 3e3, where it passes 57 and 172 poles)
     if not 0 < value <= 1e3:
         raise click.BadParameter("expected 0 < radius <= 1e3; got %r" % value)
+    return value
+
+
+def _cycle_radius(ctx, param, value):
+    # the Poincare map is checked from |x| = 15 (see poincare_step), and the
+    # |x0|/2 cycles take 3 s at 1e3
+    if not 15 <= value <= 1e3:
+        raise click.BadParameter("expected 15 <= x0 <= 1e3; got %r" % value)
     return value
 
 
@@ -278,7 +285,8 @@ def stokes(obj):
 
 
 @main.command()
-@click.option("--x0", default=50.0, show_default=True, callback=_radius,
+@click.option("--x0", default=50.0, show_default=True,
+              callback=_cycle_radius,
               help="|x0| (arg fixed at -pi/2 * 1.05)")
 @click.option("--s0", default="-0.1", show_default=True,
               callback=_parse_complex)

@@ -273,7 +273,8 @@ def jhat_at(s):
 #: land on another root of h = -4 (from x = 30 e^{-0.3i}, s = -0.1 they do)
 MAP_NODES = 32
 #: Newton's stopping step at an intermediate node, and its step budget at
-#: any node (72 starts over |x| 15..100, four args and six s needed 6)
+#: any node (72 starts over |x| 15..100, four args and six s needed 6); one
+#: step per node lands 3 of 141 maps on another root, a stop at 1e-1 lands 1
 MAP_NODE_TOL = 1e-3
 MAP_NEWTON_MAX = 20
 
@@ -291,6 +292,8 @@ def poincare_step(x_n, s_n):
     Raises DegenerateCycleError for an s_n that ``Cycle.validate``
     refuses, and NoConvergenceError when a node takes more than
     MAP_NEWTON_MAX steps.
+    Checked against RK4 for |x_n| from 15 to 1,000; below, Newton can land
+    on another root of h = -4 (from x_n = 10 e^{-0.3i}, s_n = -0.5 + 0.1i).
     """
     Cycle().validate(s_n)
     u, _ = _contour(Cycle(), MAP_NODES)

@@ -177,6 +177,7 @@ class TestCli:
         (["invariants", "--steps", "-1"], "--steps"),
         (["invariants", "--x0", "1e6"], "--x0"),
         (["invariants", "--x0", "1e300"], "--x0"),
+        (["invariants", "--x0", "10"], "--x0"),
         (["invariants", "--steps", "501"], "--steps"),
     ])
     def test_malformed_option_is_usage_error(self, runner, args, option):
