@@ -14,10 +14,8 @@ polynomials are rounded once to Python integers, fixed-point numbers with
 FIX_BITS fractional bits.  A table is evaluated by Horner's rule on those
 integers; only the final division of numerator by denominator runs in
 mpmath, at PADE_DPS digits.  Laplace integrals along rotated rays then
-produce actual tronquee solutions, and a Hankel loop around the cut
-[1, inf) measures the Stokes jump.  Rays and loop legs are integrated by
-one panel sum, nested Clenshaw-Curtis rules on whole dyadic panels
-(:func:`_panel_sum`).
+produce actual tronquee solutions.  Rays are integrated by one panel sum,
+nested Clenshaw-Curtis rules on whole dyadic panels (:func:`_panel_sum`).
 """
 
 from __future__ import annotations
@@ -486,49 +484,6 @@ def estimate_S(germ=None):
         val = extrapolate(EXTRAPOLATION_ORDER)
         err = abs(val - extrapolate(EXTRAPOLATION_ORDER - 2))
     return val, err
-
-
-# ---------------------------------------------------------------------------
-# Hankel loops around the cuts
-
-
-def jump_via_hankel(germ, x):
-    """Loop integral of e^{-px} Y(p) around the Borel cut [1, inf).
-
-    The loop comes in along Im p = -d, turns on Re p = a = 1 - d and goes
-    out along Im p = d.  This equals the lateral Laplace sum above the
-    positive Stokes direction less the one below it.  Each leg is a panel
-    sum cut from its end nearest p = 1: the vertical one as two halves
-    from p = a, which end exactly at a -+ i d because d = 1/4 is a dyadic
-    edge, the horizontal ones past T, where e^{-px} is below tol 1e-3.
-    """
-    x = mp.mpmathify(x)
-    decay = mp.re(x)
-    if decay <= 0:
-        raise QuadratureError("loop integrand does not decay for x = %s"
-                              % mp.nstr(x))
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
-    ev = _evaluator(germ)
-    d = mp.mpf(1) / 4
-    T = max(mp.mpf(2), 1 + -mp.log(tol * mp.mpf("1e-3")) / decay)
-    a = 1 - d  # turning abscissa, just shy of the branch point
-    lead = germ.lead2 // 2 if germ.lead2 % 2 == 0 else mp.mpf(germ.lead2) / 2
-
-    def f(p):
-        return mp.exp(-p * x) * ev(p) * p ** lead
-
-    # (start, direction, length, sign): the legs below the cut run inward
-    legs = ((mp.mpc(a, d), 1, T - a, 1), (a, 1j, d, 1),
-            (a, -1j, d, -1), (mp.mpc(a, -d), 1, T - a, -1))
-    total, errs = mp.mpc(0), mp.mpf(0)
-    for z0, v, length, sign in legs:
-        seg, e = _panel_sum(lambda s: f(z0 + v * s) * v, length)
-        total += sign * seg
-        errs += e
-    if errs > tol * (1 + abs(total)) * 1e6:
-        raise QuadratureError("loop quadrature error %.3e above target"
-                              % float(errs), err_est=errs)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,13 @@ def _radius(ctx, param, value):
 
 
 def _cycle_radius(ctx, param, value):
-    # the Poincare map is checked from |x| = 15 (see poincare_step), and the
-    # |x0|/2 cycles take 3 s at 1e3
-    if not 15 <= value <= 1e3:
-        raise click.BadParameter("expected 15 <= x0 <= 1e3; got %r" % value)
+    from .cycles import MAP_MIN_RADIUS
+
+    # the Poincare map is checked from |x| = MAP_MIN_RADIUS (see
+    # poincare_step), and the |x0|/2 cycles take 3 s at 1e3
+    if not MAP_MIN_RADIUS <= value <= 1e3:
+        raise click.BadParameter("expected %g <= x0 <= 1e3; got %r"
+                                 % (MAP_MIN_RADIUS, value))
     return value
 
 

@@ -34,9 +34,11 @@ from .errors import (
     MatchFailureError,
     NoConvergenceError,
     NoIntegerConsistencyError,
+    OutsideRegionError,
     StepFailureError,
 )
-from .odes import integrate_path, solve_ivp
+from .odes import (ENTER_G, _exit_fraction, _horner, _open_disc, _series_h,
+                   solve_ivp)
 
 U_BASE = -4.0
 CYCLE_CENTER = -2.0
@@ -277,6 +279,9 @@ MAP_NODES = 32
 #: step per node lands 3 of 141 maps on another root, a stop at 1e-1 lands 1
 MAP_NODE_TOL = 1e-3
 MAP_NEWTON_MAX = 20
+#: the least |x_n| checked against RK4: below it Newton can land on another
+#: root of h = -4 (from x_n = 10 e^{-0.3i}, s_n = -0.5 + 0.1i it does)
+MAP_MIN_RADIUS = 15.0
 
 
 def poincare_step(x_n, s_n):
@@ -285,20 +290,27 @@ def poincare_step(x_n, s_n):
     Follows h = u round the cycle on the h-equation's own flow (R = h',
     s = h'^2 - h^2 - h^3/3): from (h, h') = (-4, sqrt(s_n - 16/3)) at x_n
     it visits the MAP_NODES contour nodes u_j in turn by Newton steps
-    x <- x + (u_j - h)/h', each one segment of
-    :func:`boutroux.odes.integrate_path`, and leaves a node where the next
-    step would be at most MAP_NODE_TOL, or 4 ulps of x at the closing
-    node u = -4.  Returns x and s = h'^2 - h^2 - h^3/3 there.
-    Raises DegenerateCycleError for an s_n that ``Cycle.validate``
-    refuses, and NoConvergenceError when a node takes more than
-    MAP_NEWTON_MAX steps.
-    Checked against RK4 for |x_n| from 15 to 1,000; below, Newton can land
-    on another root of h = -4 (from x_n = 10 e^{-0.3i}, s_n = -0.5 + 0.1i).
+    x <- x + (u_j - h)/h', and leaves a node where the next step would be
+    at most MAP_NODE_TOL, or 4 ulps of x at the closing node u = -4.  Each
+    iterate is read by Horner's rule off the current Taylor disc of
+    :func:`boutroux.odes._open_disc`; a step that leaves the disc opens the
+    next one where it crosses the disc's edge, until the iterate lies in a
+    disc.  Returns x and s = h'^2 - h^2 - h^3/3 there.  Raises
+    OutsideRegionError for |x_n| below MAP_MIN_RADIUS (the map is checked
+    against RK4 up to 1,000), DegenerateCycleError for an s_n that
+    ``Cycle.validate`` refuses, StepFailureError where |h| exceeds ENTER_G
+    (the map has no pole chart) or a disc fails, and NoConvergenceError
+    when a node takes more than MAP_NEWTON_MAX steps.
     """
+    # a start rounded from |x| = MAP_MIN_RADIUS, as 15 e^{-0.3i}, passes
+    if not abs(x_n) >= MAP_MIN_RADIUS * (1 - 1e-12):
+        raise OutsideRegionError("the cycle map is checked from |x| = %g; "
+                                 "got x = %s" % (MAP_MIN_RADIUS, x_n))
     Cycle().validate(s_n)
     u, _ = _contour(Cycle(), MAP_NODES)
     x, h = complex(x_n), U_BASE
     hp = cmath.sqrt(U_BASE**3 / 3 + U_BASE**2 + s_n)
+    c, (cs, r) = x, _open_disc(_series_h, x, h, hp)
     for j in range(1, MAP_NODES + 1):
         closing = j == MAP_NODES
         target = U_BASE if closing else u[j]
@@ -306,7 +318,16 @@ def poincare_step(x_n, s_n):
             dx = (target - h) / hp
             if abs(dx) <= (4 * math.ulp(abs(x)) if closing else MAP_NODE_TOL):
                 break
-            x, (h, hp) = integrate_path(x, (h, hp), [x + dx]).endpoint
+            x1 = x + dx
+            while x != x1:
+                frac = _exit_fraction(x - c, x1 - x, r)
+                x = x1 if frac >= 1 else x + frac * (x1 - x)
+                h, hp = _horner(cs, x - c)
+                if abs(h) > ENTER_G:
+                    raise StepFailureError("|h| exceeds ENTER_G at x = %s on "
+                                           "the cycle map" % x)
+                if x != x1:  # the segment left the disc at x
+                    c, (cs, r) = x, _open_disc(_series_h, x, h, hp)
         else:
             raise NoConvergenceError(
                 "Newton steps to the cycle node u = %s did not settle from "
@@ -342,8 +363,7 @@ def run_cycles(x0, s0, N):
     states = []
     x, s = x0, s0
     for n in range(N + 1):
-        J = cycle_J(s)
-        Jh, _ = jhat_at(s)
+        J, Jh = (J0, Jh0) if n == 0 else (cycle_J(s), jhat_at(s)[0])
         states.append(CycleState(
             n=n, x_n=x, s_n=s, Q=x * J,
             K_shifted=Jh / (kappa_raw * J) + 2.0 * n / (x0 * J0)))

@@ -54,7 +54,7 @@ class ChartDeadlockError(BoutrouxError):
 
 
 class OutsideRegionError(BoutrouxError):
-    """A two-scale evaluation point lies outside both validity regions."""
+    """A point lies outside the region where a method is checked."""
 
 
 class ObstructionError(BoutrouxError):

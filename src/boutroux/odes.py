@@ -1,18 +1,19 @@
 """Complex-path integration of the normalized equation with pole traversal.
 
-Every ODE of the package is integrated by one Taylor-series stepper,
-:func:`solve_ivp`, in complex double, along straight segments in complex
-x.  At a centre c the Taylor coefficients of the solution through the
-current state follow from a short recurrence on the equation multiplied by
-x; for the h-equation, x h'' + h' = x (h + h^2/2) + EQ4 x^{-3} needs one
-Cauchy product for h^2 and the known series of (c + t)^{-3}.  A step with
-local tolerance eps = atol + rtol |y| takes the order
-n = ceil(-ln(eps) / 2) + 1 (20 at eps = 1e-16) and the length
-min_j (eps / |a_j|)^{1/j} over the last two coefficients j = n - 1, n
-(Jorba and Zou, Exp. Math. 14, 2005), bounded by DIST_FRAC times the
-distance to the singular point x = 0; a path that passes just beside
-x = 0 shortens its steps instead of grinding, and one through it is
-refused.
+Every ODE of the package is integrated on Taylor discs in complex double,
+each opened by one helper, :func:`_open_disc`.  At a centre c the Taylor
+coefficients of the solution through the current state follow from a
+short recurrence on the equation multiplied by x; for the h-equation,
+x h'' + h' = x (h + h^2/2) + EQ4 x^{-3} needs one Cauchy product for h^2
+and the known series of (c + t)^{-3}.  A disc with local tolerance
+eps = atol + rtol |y| takes the order n = ceil(-ln(eps) / 2) + 1 (20 at
+eps = 1e-16) and the radius min_j (eps / |a_j|)^{1/j} over the last two
+coefficients j = n - 1, n (Jorba and Zou, Exp. Math. 14, 2005), bounded
+by DIST_FRAC times the distance to the singular point x = 0; a path that
+passes just beside x = 0 shortens its steps instead of grinding, and one
+through it is refused.  :func:`solve_ivp` steps along straight segments
+from disc to disc; the Poincare map of :mod:`boutroux.cycles` reads its
+Newton iterates off the discs directly.
 
 Every pole of h is a double pole h = 12/(x - x0)^2 + ... whose Laurent
 series has one free coefficient, beta at order (x - x0)^4 (the Painleve
@@ -21,8 +22,7 @@ ENTER_G on a step's polynomial (an event found by bisection, about 1.1
 from the pole), :func:`_refine_pole` fits (x0, beta) to (x, h, h') by
 Newton's method and records the pole; the path then crosses the disc
 |x - x0| < (12/EXIT_G)^{1/2} on the Laurent series and returns to the
-h-chart where it leaves the disc.  The module also carries the coordinate
-map back to the standard Painleve I variables.
+h-chart where it leaves the disc.
 """
 
 from __future__ import annotations
@@ -140,16 +140,41 @@ def _order(eps):
     return max(4, math.ceil(-0.5 * math.log(eps)) + 1)
 
 
+def _open_disc(series, c, y, yp, singular=(0.0,), rtol=1e-15, atol=1e-16):
+    """One Taylor disc at x = c through (y, y'): ``series(c, y, y', n)``
+    to the order n for the local tolerance eps = atol + rtol |y|, and the
+    accurate radius r, the least of the Jorba-Zou radius and DIST_FRAC
+    times the distance to the nearest point of ``singular``.  Returns
+    (coefficients, r).  Raises StepFailureError when a coefficient is not
+    finite or r underflows (at most 4 ulps of |c|)."""
+    eps = atol + rtol * abs(y)
+    cs = series(c, y, yp, _order(eps))
+    if not all(map(cmath.isfinite, cs)):
+        raise StepFailureError("Taylor coefficients overflow near x = %s" % c)
+    r = min(_accurate_radius(cs, eps),
+            DIST_FRAC * min(abs(c - p) for p in singular))
+    if r <= 4 * math.ulp(abs(c)):
+        raise StepFailureError("step size underflow near x = %s" % c)
+    return cs, r
+
+
+def _exit_fraction(u, d, r):
+    """The s > 0 at which the segment from a point inside a disc of radius
+    r, at offset u from its centre, in the direction d leaves the disc:
+    the root of |u + s d| = r."""
+    b, dd = (u.conjugate() * d).real, abs(d) ** 2
+    return (math.sqrt(b * b + dd * (r ** 2 - abs(u) ** 2)) - b) / dd
+
+
 def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
               rtol=1e-15, atol=1e-16):
     """Taylor-series integration of a second-order equation along the
     straight segment x0 -> x1 in complex x.
 
     ``series(c, y, y', n)`` gives the Taylor coefficients 0..n at c of the
-    solution through (y, y').  A step with local tolerance eps = atol +
-    rtol |y| takes the order n = ceil(-ln(eps) / 2) + 1 and the length
-    min_j (eps / |a_j|)^{1/j} over j = n - 1, n (Jorba and Zou), bounded
-    by DIST_FRAC times the distance to the nearest point of ``singular``.
+    solution through (y, y').  Each step opens the disc of
+    :func:`_open_disc` at its start and runs to the disc's edge, or to x1
+    inside it.
     The integration stops where ``event(y)`` passes from <= 0 to > 0 at
     the end of a step, located by bisection on the step's polynomial.
     Returns (x_end, (y, y') at x_end, steps, hit) with steps a list of
@@ -170,18 +195,9 @@ def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
                                    "singular point x = %s" % (x, x1, p))
     steps, hit = [], False
     while x != x1 and not hit:
-        eps = atol + rtol * abs(y)
-        cs = series(x, y, yp, _order(eps))
-        if not all(map(cmath.isfinite, cs)):
-            raise StepFailureError("Taylor coefficients overflow near "
-                                   "x = %s" % x)
-        r = min(_accurate_radius(cs, eps),
-                DIST_FRAC * min(abs(x - p) for p in singular))
+        cs, r = _open_disc(series, x, y, yp, singular, rtol, atol)
         dx, end = x1 - x, x1
         if r < abs(dx):
-            if r <= 4 * math.ulp(abs(x)):
-                raise StepFailureError("step size underflow near x = %s"
-                                       % x)
             dx *= r / abs(dx)
             end = x + dx
         y1, yp1 = _horner(cs, dx)
@@ -203,29 +219,6 @@ def solve_ivp(series, x0, x1, y0, singular=(0.0,), event=None,
 
 def _enter_pole(h):
     return abs(h) - ENTER_G
-
-
-# ---------------------------------------------------------------------------
-# Coordinate maps to the standard Painleve I variables
-
-_Z_FACTOR = 30.0 ** 0.8 / 24.0
-
-
-def map_x_to_z(x, h, hp):
-    """(x, h, h') -> (z, y, dy/dz) in the original Painleve I variables.
-
-    z = 24^{-1} 30^{4/5} x^{4/5} e^{-i pi/5},
-    y = i sqrt(z/6) (1 - 4/(25 x^2) + h),
-    with principal-branch powers continued from the positive axis.
-    """
-    x = complex(x)
-    z = _Z_FACTOR * x ** 0.8 * cmath.exp(-1j * cmath.pi / 5)
-    dzdx = 0.8 * z / x
-    root = 1j * cmath.sqrt(z / 6)
-    core = 1 - 4 / (25 * x * x) + h
-    y = root * core
-    dydx = root * (core * dzdx / (2 * z) + 8 / (25 * x**3) + hp)
-    return z, y, dydx / dzdx
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +295,8 @@ def integrate_path(x0, state, path, rtol=1e-15, atol=1e-16):
             else:
                 # leave the disc where |x + s d - x_p| = _EXIT_RADIUS, s > 0
                 x_p, cs = pole
-                d, u = target - x, x - x_p
-                b, dd = (u.conjugate() * d).real, abs(d) ** 2
-                s = (math.sqrt(b * b + dd * (_EXIT_RADIUS ** 2 - abs(u) ** 2))
-                     - b) / dd
+                d = target - x
+                s = _exit_fraction(x - x_p, d, _EXIT_RADIUS)
                 if s < 1:
                     x, pole = x + s * d, None
                 else:

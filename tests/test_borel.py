@@ -17,7 +17,6 @@ from boutroux.borel import (
     DEFAULT_GERM_ORDER,
     germ_Hk,
     estimate_S,
-    jump_via_hankel,
     laplace_ray,
     solve_H0_convolution,
     sum_transseries,
@@ -36,6 +35,47 @@ MU_ABS = None  # set in setup
 
 def mu():
     return 1j * mp.sqrt(mp.mpf(6) / (5 * mp.pi))
+
+
+def jump_via_hankel(germ, x):
+    """Loop integral of e^{-px} Y(p) around the Borel cut [1, inf): a
+    second route to the Stokes jump that criterion 4a measures by lateral
+    sums, on the package's panel sum.
+
+    The loop comes in along Im p = -d, turns on Re p = a = 1 - d and goes
+    out along Im p = d.  This equals the lateral Laplace sum above the
+    positive Stokes direction less the one below it.  Each leg is a panel
+    sum cut from its end nearest p = 1: the vertical one as two halves
+    from p = a, which end exactly at a -+ i d because d = 1/4 is a dyadic
+    edge, the horizontal ones past T, where e^{-px} is below tol 1e-3.
+    """
+    x = mp.mpmathify(x)
+    decay = mp.re(x)
+    if decay <= 0:
+        raise QuadratureError("loop integrand does not decay for x = %s"
+                              % mp.nstr(x))
+    tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
+    ev = borel._evaluator(germ)
+    d = mp.mpf(1) / 4
+    T = max(mp.mpf(2), 1 + -mp.log(tol * mp.mpf("1e-3")) / decay)
+    a = 1 - d  # turning abscissa, just shy of the branch point
+    lead = germ.lead2 // 2 if germ.lead2 % 2 == 0 else mp.mpf(germ.lead2) / 2
+
+    def f(p):
+        return mp.exp(-p * x) * ev(p) * p ** lead
+
+    # (start, direction, length, sign): the legs below the cut run inward
+    legs = ((mp.mpc(a, d), 1, T - a, 1), (a, 1j, d, 1),
+            (a, -1j, d, -1), (mp.mpc(a, -d), 1, T - a, -1))
+    total, errs = mp.mpc(0), mp.mpf(0)
+    for z0, v, length, sign in legs:
+        seg, e = borel._panel_sum(lambda s: f(z0 + v * s) * v, length)
+        total += sign * seg
+        errs += e
+    if errs > tol * (1 + abs(total)) * 1e6:
+        raise QuadratureError("loop quadrature error %.3e above target"
+                              % float(errs), err_est=errs)
+    return total
 
 
 def toy_geometric_germ():

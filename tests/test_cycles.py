@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from boutroux import cycles
+from boutroux import cycles, odes
 from boutroux.cycles import (
     U_BASE,
     Cycle,
@@ -32,8 +32,10 @@ from boutroux.errors import (
     MatchFailureError,
     NoConvergenceError,
     NoIntegerConsistencyError,
+    OutsideRegionError,
+    StepFailureError,
 )
-from boutroux.odes import EQ4
+from boutroux.odes import EQ4, _series_h, integrate_path
 
 S_GRID = np.linspace(-1.25, -0.15, 20)
 # the x^-4 coefficient 784/625 of ds/du = -2R/x + S_SOURCE x^-4
@@ -234,22 +236,65 @@ class TestPoincareMap:
         change of the stepper shows; the pins lie within 1e-11 of the RK4
         reference at 4,096 steps."""
         x1, s1 = poincare_step(self.X0, -0.1)
-        x_ref = -12.470029334007249 - 50.807482129900514j
-        s_ref = -0.13952046721875178 + 0.16118533766280957j
+        x_ref = -12.47002933400747 - 50.80748212990004j
+        s_ref = -0.1395204672187198 + 0.161185337662768j
         assert abs(x1 - x_ref) <= 1e-14 * abs(x_ref)
         assert abs(s1 - s_ref) <= 1e-14 * abs(s_ref)
         assert_near_reference((x_ref, s_ref), rk4_map(self.X0, -0.1, 4096),
                               1e-11)
         states = run_cycles(self.X0, -0.1, 25)
         assert len(states) == 26
-        x_ref = -170.83682812638872 - 62.754855717839675j
-        s_ref = -1.1693650960928927 + 0.34275616935390557j
+        x_ref = -170.83682812639188 - 62.7548557178372j
+        s_ref = -1.1693650960924948 + 0.34275616935370296j
         assert abs(states[-1].x_n - x_ref) <= 1e-13 * abs(x_ref)
         assert abs(states[-1].s_n - s_ref) <= 1e-13 * abs(s_ref)
         x, s = self.X0, -0.1
         for _ in range(25):
             x, s = rk4_map(x, s, 4096)
         assert_near_reference((x_ref, s_ref), (x, s), 1e-11)
+
+    def test_map_reads_its_discs(self, monkeypatch):
+        """One map from X0 opens at most 40 Taylor discs (80 series when
+        every Newton step was an integrate_path segment of its own) and
+        integrates no path: the Newton iterates are read off the discs."""
+        opened, paths = [], []
+
+        def series(*args):
+            opened.append(args[0])
+            return _series_h(*args)
+
+        def path(*args, **kwargs):
+            paths.append(args[0])
+            return integrate_path(*args, **kwargs)
+
+        for mod in (odes, cycles):
+            monkeypatch.setattr(mod, "_series_h", series, raising=False)
+            monkeypatch.setattr(mod, "integrate_path", path, raising=False)
+        poincare_step(self.X0, -0.1)
+        assert 0 < len(opened) <= 40
+        assert paths == []
+
+    @pytest.mark.parametrize("x_n", [10 * cmath.exp(-0.3j), 14.99, 1e-3])
+    def test_start_below_checked_radius_raises(self, x_n):
+        """Below |x| = MAP_MIN_RADIUS = 15, the least start checked against
+        RK4, Newton can land on another root of h = -4 (from
+        x = 10 e^{-0.3i}, s = -0.5 + 0.1i it lands 6.5 off), so the map
+        refuses the start; a start rounded from |x| = 15 is mapped."""
+        assert cycles.MAP_MIN_RADIUS == 15
+        with pytest.raises(OutsideRegionError, match="checked from"):
+            poincare_step(x_n, -0.5 + 0.1j)
+        with pytest.raises(OutsideRegionError):
+            run_cycles(x_n, -0.5 + 0.1j, 1)
+        x1, s1 = poincare_step(15 * cmath.exp(-0.3j), -0.5 + 0.1j)
+        assert cmath.isfinite(x1) and cmath.isfinite(s1)
+
+    def test_pole_side_raises(self, monkeypatch):
+        """The map has no pole chart: a value with |h| above ENTER_G
+        raises StepFailureError.  With ENTER_G lowered below |u_1| = 3.98,
+        the first iterate toward node 1 does."""
+        monkeypatch.setattr(cycles, "ENTER_G", 3.9)
+        with pytest.raises(StepFailureError, match="ENTER_G"):
+            poincare_step(self.X0, -0.1)
 
     def test_degenerate_start_raises(self):
         """s0 = 16/3 puts R = 0 at the base node u = -4: the cubic has a

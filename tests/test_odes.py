@@ -24,7 +24,6 @@ from boutroux.errors import StepFailureError
 from boutroux.odes import (
     EQ4,
     FAR_FIELD_LEVELS,
-    _Z_FACTOR,
     _series_h,
     _series_pole,
     arc_path,
@@ -33,7 +32,6 @@ from boutroux.odes import (
     far_field_init,
     integrate_path,
     locate_pole,
-    map_x_to_z,
     single_valuedness_residual,
 )
 
@@ -41,9 +39,10 @@ cnum = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
                           allow_nan=False, allow_infinity=False)
 
 
-# Reference right-hand side of the h-equation and the inverse of
-# map_x_to_z.  The package integrates through the series recurrences
-# _series_h and _series_pole, which the tests below check against these.
+# Reference right-hand side of the h-equation, and the coordinate map to
+# the standard Painleve I variables with its inverse.  The package
+# integrates through the series recurrences _series_h and _series_pole,
+# which the tests below check against these.
 
 
 def rhs_h(x, state):
@@ -52,6 +51,26 @@ def rhs_h(x, state):
         raise ValueError("the equation is singular at x = 0")
     h, hp = state
     return np.array([hp, h + h * h / 2 + EQ4 / x**4 - hp / x])
+
+
+_Z_FACTOR = 30.0 ** 0.8 / 24.0
+
+
+def map_x_to_z(x, h, hp):
+    """(x, h, h') -> (z, y, dy/dz) in the original Painleve I variables.
+
+    z = 24^{-1} 30^{4/5} x^{4/5} e^{-i pi/5},
+    y = i sqrt(z/6) (1 - 4/(25 x^2) + h),
+    with principal-branch powers continued from the positive axis.
+    """
+    x = complex(x)
+    z = _Z_FACTOR * x ** 0.8 * cmath.exp(-1j * cmath.pi / 5)
+    dzdx = 0.8 * z / x
+    root = 1j * cmath.sqrt(z / 6)
+    core = 1 - 4 / (25 * x * x) + h
+    y = root * core
+    dydx = root * (core * dzdx / (2 * z) + 8 / (25 * x**3) + hp)
+    return z, y, dydx / dzdx
 
 
 def map_z_to_x(z, y, dydz):
