@@ -13,11 +13,17 @@ and s = -4/3 (the interior roots collide).  The period integrals
 
     J(s) = oint R du,    L(s) = oint du/R = 2 J'(s)
 
-satisfy J'' + rho J / 4 = 0 with rho = 5/(3s(3s+4)).  Following h = u
-once around the cycle on the h-equation's own flow gives the Poincare
-map (x_n, s_n) -> (x_{n+1}, s_{n+1}) with the adiabatic invariants
-Q = x J(s) and K_shifted = K(s_n) + 2n/(x0 J(s0)), K = Jhat/(W J) with W
-the Wronskian of J and Jhat.
+satisfy J'' + rho J / 4 = 0 with rho = 5/(3s(3s+4)), which is unchanged
+under s -> -4/3 - s.  So with Jhat the solution with Jhat(0) = 0 and
+Jhat'(0) = 1 (its Frobenius series continued on this ODE), the period
+that vanishes at s = -4/3 is J(s) = sigma pi Jhat(-4/3 - s), and
+L(s) = -2 sigma pi Jhat'(-4/3 - s); sigma = +-1 is the sign of
+Im sqrt(s - 16/3), R's principal branch at the base node (+1 for real s).
+The Wronskian W = J Jhat' - J' Jhat is exactly -24 sigma/5.  Following
+h = u once around the cycle on the h-equation's own flow gives the
+Poincare map (x_n, s_n) -> (x_{n+1}, s_{n+1}) with the adiabatic
+invariants Q = x J(s) and K_shifted = K(s_n) + 2n/(x0 J(s0)),
+K = Jhat/(W J).
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, truediv
 
 from .errors import (
     DegenerateCycleError,
@@ -47,8 +52,6 @@ CYCLE_RADIUS = 2.0
 #: guard radius around the degenerate energies {0, -4/3}, and the least
 #: distance of a cubic root from the contour
 DEGENERATE_GUARD = 0.05
-#: trapezoid nodes of the period quadrature
-NPTS = 512
 
 
 def cubic_roots(s):
@@ -95,61 +98,35 @@ class Cycle:
 @functools.lru_cache(maxsize=16)
 def _contour(cycle, n):
     """Read-only nodes u_j = u(j/n), j = 0..n, from the base point round
-    to the closing node, and du/dt at each: the one discretisation of the
-    contour, read by the period quadrature and, as the targets of its
-    Newton steps, by the Poincare map."""
-    u = tuple(cycle.center + cycle.radius
-              * cmath.exp(1j * (math.pi + 2 * math.pi * (j / n)))
-              for j in range(n + 1))
-    return u, tuple(2j * math.pi * (uj - cycle.center) for uj in u)
+    to the closing node: the targets of the Poincare map's Newton steps."""
+    return tuple(cycle.center + cycle.radius
+                 * cmath.exp(1j * (math.pi + 2 * math.pi * (j / n)))
+                 for j in range(n + 1))
 
 
-def _R_track(u_vals, s):
-    """sqrt(u^3/3 + u^2 + s) branch-tracked continuously along u_vals."""
-    s = complex(s)
-    vals = [cmath.sqrt(u**3 / 3.0 + u**2 + s) for u in u_vals]
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[i - 1]) > abs(vals[i] + vals[i - 1]):
-            vals[i] = -vals[i]
-    return vals
+def _sigma(s):
+    """The sign of Im sqrt(s - 16/3): R's branch at the base node, by the
+    expression :func:`poincare_step` starts h' with."""
+    return math.copysign(1.0, cmath.sqrt(U_BASE**3 / 3 + U_BASE**2 + s).imag)
 
 
-def _fsum(zs):
-    """Correctly rounded complex sum, by math.fsum on each part: the
-    period sums need it, a plain sum fails criterion 10."""
-    zs = list(zs)
-    return complex(math.fsum(z.real for z in zs),
-                   math.fsum(z.imag for z in zs))
+def _reflected_periods(s):
+    """(J, L) = (sigma pi Jhat(t), -2 sigma pi Jhat'(t)) at t = -4/3 - s,
+    for an s that ``Cycle.validate`` accepts."""
+    Cycle().validate(s)
+    val, der = jhat_at(-4.0 / 3.0 - complex(s))
+    c = _sigma(s) * math.pi
+    return c * val, -2.0 * c * der
 
 
-def _periods(s, cycle=None):
-    """(J, J_err, L, L_err) by the trapezoid rule on the NPTS contour
-    nodes, tracked in one pass up to the closing node, which must restore
-    the base node's branch; the errors compare with the even nodes' sums."""
-    cycle = cycle or Cycle()
-    cycle.validate(s)
-    u, dudt = _contour(cycle, NPTS)
-    R = _R_track(u, s)
-    if abs(R[-1] - R[0]) > 1e-8 * abs(R[0]):
-        raise DegenerateCycleError(
-            "R is not single-valued on the contour at s = %s" % s)
-    du = [d / NPTS for d in dudt[:-1]]
-    # every k-th node: k = 1 the sums, k = 2 the even nodes' check sums
-    J, J2 = (k * _fsum(map(mul, R[:-1:k], du[::k])) for k in (1, 2))
-    L, L2 = (k * _fsum(map(truediv, du[::k], R[:-1:k])) for k in (1, 2))
-    return J, abs(J - J2), L, abs(L - L2)
+def cycle_J(s):
+    """J(s) = oint R du over the cycle."""
+    return _reflected_periods(s)[0]
 
 
-def cycle_J(s, cycle=None, return_error=False):
-    """J(s) = oint R du over the cycle (trapezoid quadrature)."""
-    J, err, _, _ = _periods(s, cycle)
-    return (J, err) if return_error else J
-
-
-def cycle_L(s, cycle=None, return_error=False):
+def cycle_L(s):
     """L(s) = oint du/R over the cycle; equals 2 J'(s)."""
-    _, _, L, err = _periods(s, cycle)
-    return (L, err) if return_error else L
+    return _reflected_periods(s)[1]
 
 
 def rho(s):
@@ -205,12 +182,12 @@ def _ode_continue(s0, y0, s1):
     through one of them raises MatchFailureError before anything is
     integrated.
     """
-    s0, s1 = complex(s0), complex(s1)
-    if s1 == s0:
-        return complex(y0[0]), complex(y0[1])
+    # tolerances below double rounding: at rtol 1e-15, L lost 2e-13 near
+    # s = 0, as Jhat'(-4/3 - s) grows like log(-s)
     try:
         _, y, _, _ = solve_ivp(_period_series, s0, s1, y0,
-                               singular=(0.0, -4.0 / 3.0))
+                               singular=(0.0, -4.0 / 3.0),
+                               rtol=1e-17, atol=1e-18)
     except StepFailureError as exc:
         raise MatchFailureError("period ODE continuation failed: %s" % exc)
     return y
@@ -233,18 +210,18 @@ class PeriodTable:
 
 
 def solve_J_ode(s_grid):
-    """Continue J (matched to quadrature) and Jhat along s_grid.
+    """Continue J and Jhat along s_grid.
 
-    J is seeded from cycle quadrature at the first grid point and
-    re-verified against cycle_J at every grid point (MatchFailureError
-    beyond 1e-6 max(1, |J|)).  Jhat is seeded by its Frobenius series
-    near s = 0 (Jhat(0) = 0, Jhat'(0) = 1) and continued along a path
-    through the series base point; their Wronskian is constant.
+    J is seeded from cycle_J and cycle_L at the first grid point,
+    continued along the grid, and re-verified against cycle_J, the
+    reflected Frobenius solution, at every grid point (MatchFailureError
+    beyond 1e-6 max(1, |J|)).  Jhat is seeded by jhat_at and continued
+    along the same path; their Wronskian is constant.
     """
     s_grid = [complex(s) for s in s_grid]
     if len(s_grid) < 2:
         raise ValueError("need at least two grid points")
-    J0, _, L0, _ = _periods(s_grid[0])
+    J0, L0 = _reflected_periods(s_grid[0])
     yJ, yH = (J0, L0 / 2.0), jhat_at(s_grid[0])
 
     rows = []
@@ -252,18 +229,21 @@ def solve_J_ode(s_grid):
         if i > 0:
             yJ = _ode_continue(s_grid[i - 1], yJ, s)
             yH = _ode_continue(s_grid[i - 1], yH, s)
-        Jq = cycle_J(s)
-        if abs(yJ[0] - Jq) > 1e-6 * max(1.0, abs(Jq)):
+        Jr = cycle_J(s)
+        if abs(yJ[0] - Jr) > 1e-6 * max(1.0, abs(Jr)):
             raise MatchFailureError(
-                "ODE-continued J deviates from quadrature at s = %s "
-                "(|diff| = %.3e)" % (s, abs(yJ[0] - Jq)))
+                "grid-continued J deviates from the reflected Frobenius "
+                "solution at s = %s (|diff| = %.3e)" % (s, abs(yJ[0] - Jr)))
         rows.append(yJ + yH)
     return PeriodTable(s_grid, *map(list, zip(*rows)))
 
 
 def jhat_at(s):
-    """(Jhat(s), Jhat'(s)) by continuation from the Frobenius seed."""
-    y = _ode_continue(_JHAT_BASE, _jhat_seed(_JHAT_BASE), s)
+    """(Jhat(s), Jhat'(s)) by continuation from the Frobenius seed; for
+    Re s > 0 the seed is at -_JHAT_BASE, so real s > 0 is reached without
+    passing s = 0, where Jhat is analytic."""
+    base = _JHAT_BASE if complex(s).real <= 0 else -_JHAT_BASE
+    y = _ode_continue(base, _jhat_seed(base), s)
     return complex(y[0]), complex(y[1])
 
 
@@ -307,7 +287,7 @@ def poincare_step(x_n, s_n):
         raise OutsideRegionError("the cycle map is checked from |x| = %g; "
                                  "got x = %s" % (MAP_MIN_RADIUS, x_n))
     Cycle().validate(s_n)
-    u, _ = _contour(Cycle(), MAP_NODES)
+    u = _contour(Cycle(), MAP_NODES)
     x, h = complex(x_n), U_BASE
     hp = cmath.sqrt(U_BASE**3 / 3 + U_BASE**2 + s_n)
     c, (cs, r) = x, _open_disc(_series_h, x, h, hp)
@@ -351,22 +331,21 @@ def run_cycles(x0, s0, N):
 
     Terminates early when arg x_n reaches -pi + 0.1 (the last pole
     array).  Q = x_n J(s_n); K_shifted = K(s_n) + 2n/(x0 J(s0)) with
-    K = Jhat/(W J) and W the Wronskian of J and Jhat at s0.
+    K = Jhat/(W J) and W = -24 sigma(s0)/5 the Wronskian of J and Jhat.
     """
     x0, s0 = complex(x0), complex(s0)
-    J0, _, L0, _ = _periods(s0)
-    Jh0, Jhp0 = jhat_at(s0)
+    J0 = cycle_J(s0)
     # rescale Jhat to unit Wronskian so that K' = 1/J^2 exactly; the
     # conserved combination is then K(s_n) + 2n/(x0 J0)
-    kappa_raw = J0 * Jhp0 - Jh0 * L0 / 2.0
+    kappa_raw = -24.0 * _sigma(s0) / 5.0
 
     states = []
     x, s = x0, s0
     for n in range(N + 1):
-        J, Jh = (J0, Jh0) if n == 0 else (cycle_J(s), jhat_at(s)[0])
+        J = J0 if n == 0 else cycle_J(s)
         states.append(CycleState(
             n=n, x_n=x, s_n=s, Q=x * J,
-            K_shifted=Jh / (kappa_raw * J) + 2.0 * n / (x0 * J0)))
+            K_shifted=jhat_at(s)[0] / (kappa_raw * J) + 2.0 * n / (x0 * J0)))
         if n == N or cmath.phase(x) <= -math.pi + 0.1:
             break
         x, s = poincare_step(x, s)

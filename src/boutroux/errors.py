@@ -70,7 +70,7 @@ class DegenerateCycleError(BoutrouxError):
 
 
 class MatchFailureError(BoutrouxError):
-    """ODE-continued period disagrees with direct quadrature."""
+    """A period continuation failed, or disagrees with the reflection."""
 
 
 class NoIntegerConsistencyError(BoutrouxError):

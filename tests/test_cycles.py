@@ -1,12 +1,15 @@
 """Cycle integrals, period ODEs, Poincare map, and the mu equation.
 
-Oracles: finite differences of the quadrature values against the exact
-second-order ODEs, Cauchy-theorem contour invariance, a refined-step RK4
-reference for the Poincare map, and the closed form mu = i sqrt(6/(5 pi)).
+Oracles: a trapezoid quadrature of the periods on the contour, finite
+differences of the period values against the exact second-order ODEs,
+Cauchy-theorem contour invariance, a refined-step RK4 reference for the
+Poincare map, and the closed form mu = i sqrt(6/(5 pi)).
 """
 
 import cmath
+import functools
 import math
+from operator import mul, truediv
 
 import numpy as np
 import pytest
@@ -40,6 +43,53 @@ from boutroux.odes import EQ4, _series_h, integrate_path
 S_GRID = np.linspace(-1.25, -0.15, 20)
 # the x^-4 coefficient 784/625 of ds/du = -2R/x + S_SOURCE x^-4
 S_SOURCE = 2 * EQ4
+#: trapezoid nodes of the reference period quadrature
+NPTS = 512
+
+
+@functools.lru_cache(maxsize=16)
+def _contour_speed(cycle, n):
+    """The n + 1 contour nodes u_j of ``cycles._contour`` and du/dt at
+    each, for t = j/n."""
+    u = _contour(cycle, n)
+    return u, tuple(2j * math.pi * (uj - cycle.center) for uj in u)
+
+
+def _R_track(u_vals, s):
+    """sqrt(u^3/3 + u^2 + s) branch-tracked continuously along u_vals."""
+    s = complex(s)
+    vals = [cmath.sqrt(u**3 / 3.0 + u**2 + s) for u in u_vals]
+    for i in range(1, len(vals)):
+        if abs(vals[i] - vals[i - 1]) > abs(vals[i] + vals[i - 1]):
+            vals[i] = -vals[i]
+    return vals
+
+
+def _fsum(zs):
+    """Correctly rounded complex sum, by math.fsum on each part: the
+    period sums need it, a plain sum fails criterion 10."""
+    zs = list(zs)
+    return complex(math.fsum(z.real for z in zs),
+                   math.fsum(z.imag for z in zs))
+
+
+def _periods(s, cycle=None):
+    """Reference (J, J_err, L, L_err) by the trapezoid rule on the NPTS
+    contour nodes, tracked in one pass up to the closing node, which must
+    restore the base node's branch; the errors compare with the even
+    nodes' sums."""
+    cycle = cycle or Cycle()
+    cycle.validate(s)
+    u, dudt = _contour_speed(cycle, NPTS)
+    R = _R_track(u, s)
+    if abs(R[-1] - R[0]) > 1e-8 * abs(R[0]):
+        raise DegenerateCycleError(
+            "R is not single-valued on the contour at s = %s" % s)
+    du = [d / NPTS for d in dudt[:-1]]
+    # every k-th node: k = 1 the sums, k = 2 the even nodes' check sums
+    J, J2 = (k * _fsum(map(mul, R[:-1:k], du[::k])) for k in (1, 2))
+    L, L2 = (k * _fsum(map(truediv, du[::k], R[:-1:k])) for k in (1, 2))
+    return J, abs(J - J2), L, abs(L - L2)
 
 
 def rk4_map(x_n, s_n, nsteps):
@@ -48,7 +98,7 @@ def rk4_map(x_n, s_n, nsteps):
     nodes (step i at nodes 2i, 2i+1, 2i+2), with R tracked by continuity
     from sqrt(u^3/3 + u^2 + s_n) at u = -4.  Its error falls like nsteps^-4:
     8.5e-11 relative in x at 1,024 steps."""
-    u_tab, du_tab = _contour(Cycle(), 2 * nsteps)
+    u_tab, du_tab = _contour_speed(Cycle(), 2 * nsteps)
     x, s = complex(x_n), complex(s_n)
     R_ref = cmath.sqrt(U_BASE**3 / 3.0 + U_BASE**2 + s)
 
@@ -120,15 +170,57 @@ class TestCubic:
 
 class TestCycleIntegrals:
     def test_J_error_estimate(self):
-        J, err = cycle_J(-0.5, return_error=True)
+        """The reference quadrature's own error estimate."""
+        J, err, _, _ = _periods(-0.5)
         assert err < 1e-10
         assert abs(J.imag) < 1e-12  # real s, symmetric contour
 
     def test_contour_deformation_invariance(self):
         """Homotopic contours give equal J (Cauchy's theorem)."""
-        a = cycle_J(-0.5)
-        b = cycle_J(-0.5, cycle=Cycle(center=-2.0, radius=1.8))
+        a = _periods(-0.5)[0]
+        b = _periods(-0.5, cycle=Cycle(center=-2.0, radius=1.8))[0]
         assert abs(a - b) < 1e-9
+
+    @pytest.mark.parametrize("s", list(S_GRID) + [
+        -0.3 + 0.3j, -0.3 - 0.3j, -0.9 + 0.2j, -0.9 - 0.2j, -1.2 + 0.05j,
+        -1.2 - 0.05j, -0.1 + 0.5j, -0.1 - 0.5j, -0.5 + 1e-9j, -0.5 - 1e-9j,
+        -0.06, -2.0, -3.0 + 0.4j])
+    def test_reflection_matches_quadrature(self, s):
+        """J = sigma pi Jhat(-4/3 - s) and L = -2 sigma pi Jhat'(-4/3 - s)
+        against the trapezoid reference, on criterion 10's grid, on both
+        sides of the real axis, near s = 0, where Jhat' grows like
+        log(s + 4/3) at -4/3 - s, and at s below -4/3, where the Frobenius
+        seed is taken at +0.05."""
+        J, _, L, _ = _periods(s)
+        assert abs(cycle_J(s) - J) <= 1e-13 * abs(J)
+        assert abs(cycle_L(s) - L) <= 1e-13 * abs(L)
+
+    def test_sign_flips_across_real_axis(self):
+        """sigma follows the principal root at u0 = -4, which flips where
+        s - 16/3 crosses the negative real axis."""
+        above, below = cycle_J(-0.5 + 1e-9j), cycle_J(-0.5 - 1e-9j)
+        assert abs(above + 2.7705) < 1e-4 and abs(below - 2.7705) < 1e-4
+
+    @pytest.mark.parametrize("s, sigma", [
+        (-0.3 + 0.2j, 1), (-0.3 - 0.2j, -1), (-1.1 + 0.4j, 1),
+        (-1.1 - 0.4j, -1), (-0.6 + 1e-9j, 1), (-0.6 - 1e-9j, -1)])
+    def test_wronskian_exact(self, s, sigma):
+        """J Jhat' - (L/2) Jhat = -24 sigma/5 on both sides of the axis."""
+        assert cycles._sigma(complex(s)) == sigma
+        J, L = cycle_J(s), cycle_L(s)
+        H, Hp = jhat_at(s)
+        assert abs(J * Hp - L / 2 * H - (-24 * sigma / 5)) <= 1e-13 * 4.8
+
+    @pytest.mark.parametrize("s0, sigma", [
+        (-0.1, 1), (-0.5 + 0.3j, 1), (-0.5 - 0.3j, -1)])
+    def test_run_cycles_kappa_is_exact(self, s0, sigma):
+        """run_cycles' Wronskian is the constant -24 sigma(s0)/5, read back
+        from K_shifted = Jhat/(kappa J) at n = 0; pole_sector's start
+        s0 = -0.1 (imaginary part +0.0) has sigma = +1."""
+        assert cycles._sigma(complex(s0)) == sigma
+        (st,) = run_cycles(50 * cmath.exp(-1j * math.pi / 2 * 1.05), s0, 0)
+        kappa = jhat_at(s0)[0] / (cycle_J(s0) * st.K_shifted)
+        assert abs(kappa - (-24 * sigma / 5)) <= 1e-13 * 4.8
 
     def test_L_is_2_J_prime(self):
         h = 1e-5
@@ -162,7 +254,7 @@ class TestPeriodTable:
     def test_J_matches_quadrature(self):
         tab = solve_J_ode(S_GRID)
         for s, J in zip(S_GRID, tab.J):
-            assert abs(J - cycle_J(s)) < 1e-6
+            assert abs(J - _periods(s)[0]) < 1e-6
 
     def test_jhat_vanishes_at_origin(self):
         val, der = jhat_at(-0.01)
@@ -199,10 +291,11 @@ class TestPeriodTable:
                 solve_J_ode(grid)
 
     def test_branch_flip_of_quadrature_detected(self):
-        """The quadrature's principal root at u0 = -4 flips sign where
-        s - 16/3 crosses the negative real axis; the continued J does not."""
+        """cycle_J's sign sigma, the principal root at u0 = -4, flips where
+        s - 16/3 crosses the negative real axis; the grid-continued J does
+        not."""
         with pytest.raises(MatchFailureError,
-                           match="deviates from quadrature"):
+                           match="grid-continued J deviates"):
             solve_J_ode([-0.3 + 0.3j, -0.3 - 0.3j])
 
 
