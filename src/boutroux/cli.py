@@ -19,7 +19,7 @@ import click
 import mpmath as mp
 
 from .config import RunConfig, load_config
-from .errors import BoutrouxError
+from .errors import BoutrouxError, OutsideRegionError
 
 
 def _version():
@@ -94,6 +94,17 @@ def _cycle_radius(ctx, param, value):
         raise click.BadParameter("expected %g <= x0 <= 1e3; got %r"
                                  % (MAP_MIN_RADIUS, value))
     return value
+
+
+def _cycle_energy(ctx, param, text):
+    from .cycles import _check_jhat_cut
+
+    s0 = _parse_complex(ctx, param, text)
+    try:
+        _check_jhat_cut(s0)  # run_cycles' refusal, as a usage error
+    except OutsideRegionError as exc:
+        raise click.BadParameter(str(exc))
+    return s0
 
 
 def _parse_grid(ctx, param, text):
@@ -273,15 +284,15 @@ def stokes(obj):
     hp = lambda x: laplace_ray(germ, x, phi=mp.pi / 4)
     hm = lambda x: laplace_ray(germ, x, phi=-mp.pi / 4)
     mu_meas, resid = measure_mu(hp, hm)
-    mu_alg, alg_resid = solve_stok2()
+    mu_sep, sep_resid = solve_stok2()
     trit = lambda x: laplace_ray(germ, x, phi=-mp.pi / 8, tol=1e-20)
     C_plus = complex(extract_constant(trit, math.pi / 4))
     payload = {
         "mu_closed_form": [0.0, float(mp.im(mu_closed_form()))],
         "mu_measured": [mu_meas.real, mu_meas.imag],
         "mu_measured_fit_residual": resid,
-        "mu_from_integer_balance": [mu_alg.real, mu_alg.imag],
-        "integer_balance_residual": alg_resid,
+        "mu_from_separatrix_period": [mu_sep.real, mu_sep.imag],
+        "separatrix_period_residual": sep_resid,
         "tritronquee_C_plus": [C_plus.real, C_plus.imag],
     }
     _write_json(obj["cfg"], obj["out"], payload)
@@ -292,7 +303,7 @@ def stokes(obj):
               callback=_cycle_radius,
               help="|x0| (arg fixed at -pi/2 * 1.05)")
 @click.option("--s0", default="-0.1", show_default=True,
-              callback=_parse_complex)
+              callback=_cycle_energy)
 @click.option("--steps", default=None, type=click.IntRange(0, 500),
               help="cycle count (default |x0|/2)")
 @click.pass_obj

@@ -1,4 +1,4 @@
-"""Cycle integrals, their ODEs, the Poincare map, and the mu equation.
+"""Cycle integrals, their ODEs, the Poincare map, and the Stokes multiplier.
 
 The energy-like variable s = h'^2 - h^2 - h^3/3 is slow in the pole
 sector; with u = h as the angle-like variable and R(u, s) =
@@ -19,11 +19,14 @@ Jhat'(0) = 1 (its Frobenius series continued on this ODE), the period
 that vanishes at s = -4/3 is J(s) = sigma pi Jhat(-4/3 - s), and
 L(s) = -2 sigma pi Jhat'(-4/3 - s); sigma = +-1 is the sign of
 Im sqrt(s - 16/3), R's principal branch at the base node (+1 for real s).
-The Wronskian W = J Jhat' - J' Jhat is exactly -24 sigma/5.  Following
-h = u once around the cycle on the h-equation's own flow gives the
-Poincare map (x_n, s_n) -> (x_{n+1}, s_{n+1}) with the adiabatic
-invariants Q = x J(s) and K_shifted = K(s_n) + 2n/(x0 J(s0)),
-K = Jhat/(W J).
+By Abel's identity the Wronskian W = J Jhat' - J' Jhat is constant, and
+at s = 0 (Jhat = 0, Jhat' = 1) it is the separatrix period J(0) = -24
+sigma/5.  Following h = u once around the cycle on the h-equation's own
+flow gives the Poincare map (x_n, s_n) -> (x_{n+1}, s_{n+1}) with the
+adiabatic invariants Q = x J(s) and K_shifted = K(s_n) + 2n/(x0 J(s0)),
+K = Jhat/(W J).  The Stokes multiplier is mu^2 = J(0)/(4 pi) = -6/(5 pi)
+at sigma = +1; the factor 1/(4 pi) and the sign of the root are not
+traced here.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .errors import (
     DegenerateCycleError,
     MatchFailureError,
     NoConvergenceError,
-    NoIntegerConsistencyError,
     OutsideRegionError,
     StepFailureError,
 )
@@ -52,6 +54,12 @@ CYCLE_RADIUS = 2.0
 #: guard radius around the degenerate energies {0, -4/3}, and the least
 #: distance of a cubic root from the contour
 DEGENERATE_GUARD = 0.05
+
+#: J(0) for sigma = +1, the period of the separatrix h = 0.  At s = 0 the
+#: cycle closes on the cut from the root u = -3 to the double root u = 0 of
+#: R^2 = u^2 (1 + u/3), so J(0) = 2 int_{-3}^0 u sqrt(1 + u/3) du; with
+#: v = 1 + u/3 it is 18 (int_0^1 v^{3/2} dv - int_0^1 v^{1/2} dv)
+SEPARATRIX_PERIOD = float(18 * (Fraction(2, 5) - Fraction(2, 3)))
 
 
 def cubic_roots(s):
@@ -193,51 +201,6 @@ def _ode_continue(s0, y0, s1):
     return y
 
 
-@dataclass
-class PeriodTable:
-    """J, Jhat and their derivatives on an s grid."""
-
-    s_grid: list
-    J: list
-    J_prime: list
-    Jhat: list
-    Jhat_prime: list
-
-    @property
-    def wronskian(self):
-        return [J * Hp - H * Jp for J, Jp, H, Hp in
-                zip(self.J, self.J_prime, self.Jhat, self.Jhat_prime)]
-
-
-def solve_J_ode(s_grid):
-    """Continue J and Jhat along s_grid.
-
-    J is seeded from cycle_J and cycle_L at the first grid point,
-    continued along the grid, and re-verified against cycle_J, the
-    reflected Frobenius solution, at every grid point (MatchFailureError
-    beyond 1e-6 max(1, |J|)).  Jhat is seeded by jhat_at and continued
-    along the same path; their Wronskian is constant.
-    """
-    s_grid = [complex(s) for s in s_grid]
-    if len(s_grid) < 2:
-        raise ValueError("need at least two grid points")
-    J0, L0 = _reflected_periods(s_grid[0])
-    yJ, yH = (J0, L0 / 2.0), jhat_at(s_grid[0])
-
-    rows = []
-    for i, s in enumerate(s_grid):
-        if i > 0:
-            yJ = _ode_continue(s_grid[i - 1], yJ, s)
-            yH = _ode_continue(s_grid[i - 1], yH, s)
-        Jr = cycle_J(s)
-        if abs(yJ[0] - Jr) > 1e-6 * max(1.0, abs(Jr)):
-            raise MatchFailureError(
-                "grid-continued J deviates from the reflected Frobenius "
-                "solution at s = %s (|diff| = %.3e)" % (s, abs(yJ[0] - Jr)))
-        rows.append(yJ + yH)
-    return PeriodTable(s_grid, *map(list, zip(*rows)))
-
-
 def jhat_at(s):
     """(Jhat(s), Jhat'(s)) by continuation from the Frobenius seed; for
     Re s > 0 the seed is at -_JHAT_BASE, so real s > 0 is reached without
@@ -245,6 +208,14 @@ def jhat_at(s):
     base = _JHAT_BASE if complex(s).real <= 0 else -_JHAT_BASE
     y = _ode_continue(base, _jhat_seed(base), s)
     return complex(y[0]), complex(y[1])
+
+
+def _check_jhat_cut(s):
+    """Raise OutsideRegionError for a real s < -4/3: Jhat's cut, where the
+    continuation from -0.05 would run through the singular point -4/3."""
+    if s.imag == 0 and s.real < -4.0 / 3.0:
+        raise OutsideRegionError("s = %s lies on the cut of Jhat, real "
+                                 "s < -4/3" % s)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +302,16 @@ def run_cycles(x0, s0, N):
 
     Terminates early when arg x_n reaches -pi + 0.1 (the last pole
     array).  Q = x_n J(s_n); K_shifted = K(s_n) + 2n/(x0 J(s0)) with
-    K = Jhat/(W J) and W = -24 sigma(s0)/5 the Wronskian of J and Jhat.
+    K = Jhat/(W J) and W = sigma(s0) SEPARATRIX_PERIOD the Wronskian of J
+    and Jhat.  Raises OutsideRegionError, before any continuation, for a
+    real s0 < -4/3, on the cut of Jhat.
     """
     x0, s0 = complex(x0), complex(s0)
+    _check_jhat_cut(s0)
     J0 = cycle_J(s0)
     # rescale Jhat to unit Wronskian so that K' = 1/J^2 exactly; the
     # conserved combination is then K(s_n) + 2n/(x0 J0)
-    kappa_raw = -24.0 * _sigma(s0) / 5.0
+    kappa_raw = _sigma(s0) * SEPARATRIX_PERIOD
 
     states = []
     x, s = x0, s0
@@ -359,37 +333,29 @@ def relative_drift(values):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form mu equation
+# Stokes multiplier
 
 
-_STOK2_A = (6 + 6j) * (math.sqrt(3) + 1j)
-_STOK2_LHS = -(4 * math.sqrt(3) - 24j) / (5 * math.pi)
+#: energies, on both sides of the real axis, of solve_stok2's Abel check
+_ABEL_CHECK = (-2.0 / 3.0, -0.3 + 0.2j, -1.1 - 0.4j)
 
 
-def _stok2_residual(mu, N):
-    rhs = 24j * N / (5 * math.pi) + (
-        12 * cmath.log(_STOK2_A / mu) + 1j * math.pi
-        - 4 * math.sqrt(3) * math.pi - 6 * math.log(240 * math.pi)
-    ) / (5 * math.pi ** 2)
-    return _STOK2_LHS - rhs
+def solve_stok2():
+    """The Stokes multiplier mu = sqrt(J(0)/(4 pi)) = i sqrt(6/(5 pi)) from
+    the separatrix period J(0) = SEPARATRIX_PERIOD, the root with Im mu > 0.
 
-
-def solve_stok2(N=None):
-    """Solve the closed-form mu equation for integer N.
-
-    The equation determines mu up to the branch of the logarithm; the
-    integer N must make the principal-branch identity exact.  With
-    N=None the consistent integer is searched in [-6, 6].  Returns
-    (mu, residual).  Raises NoIntegerConsistencyError when the given
-    (or no) integer balances the equation.
+    The factor 1/(4 pi) and the sign of the root are not derived: tracing
+    them needs the matching of the pole-sector dynamics to the first pole
+    array (Costin, Costin & Huang).  Returns (mu, residual); the residual
+    is Abel's check of the period engine, the largest relative miss
+    |sigma(s) W(s) - J(0)|/|J(0)| of the Wronskian W = J Jhat' - (L/2) Jhat
+    over _ABEL_CHECK, so an error in Jhat, in the reflection or in rho
+    shows in it.
     """
-    candidates = range(-6, 7) if N is None else [int(N)]
-    for n in candidates:
-        T = (5 * math.pi ** 2 * _STOK2_LHS - 24j * n * math.pi - 1j * math.pi
-             + 4 * math.sqrt(3) * math.pi + 6 * math.log(240 * math.pi))
-        mu = _STOK2_A * cmath.exp(-T / 12.0)
-        resid = abs(_stok2_residual(mu, n))
-        if resid < 1e-10:
-            return mu, resid
-    raise NoIntegerConsistencyError(
-        "no integer branch balances the mu equation (N = %s)" % N)
+    resid = 0.0
+    for s in _ABEL_CHECK:
+        J, L = _reflected_periods(s)
+        H, Hp = jhat_at(s)
+        W = _sigma(s) * (J * Hp - L / 2.0 * H)
+        resid = max(resid, abs(W - SEPARATRIX_PERIOD) / abs(SEPARATRIX_PERIOD))
+    return cmath.sqrt(SEPARATRIX_PERIOD / (4.0 * math.pi)), resid

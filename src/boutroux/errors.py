@@ -70,11 +70,7 @@ class DegenerateCycleError(BoutrouxError):
 
 
 class MatchFailureError(BoutrouxError):
-    """A period continuation failed, or disagrees with the reflection."""
-
-
-class NoIntegerConsistencyError(BoutrouxError):
-    """No integer winding count balances the Stokes-multiplier equation."""
+    """A period continuation failed."""
 
 
 class ConfigError(BoutrouxError):

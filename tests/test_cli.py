@@ -179,6 +179,7 @@ class TestCli:
         (["invariants", "--x0", "1e300"], "--x0"),
         (["invariants", "--x0", "10"], "--x0"),
         (["invariants", "--steps", "501"], "--steps"),
+        (["invariants", "--s0", "-2"], "--s0"),
     ])
     def test_malformed_option_is_usage_error(self, runner, args, option):
         """A malformed value ends in click's usage error naming the

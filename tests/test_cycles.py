@@ -1,9 +1,10 @@
-"""Cycle integrals, period ODEs, Poincare map, and the mu equation.
+"""Cycle integrals, period ODEs, Poincare map, and the Stokes multiplier.
 
 Oracles: a trapezoid quadrature of the periods on the contour, finite
 differences of the period values against the exact second-order ODEs,
 Cauchy-theorem contour invariance, a refined-step RK4 reference for the
-Poincare map, and the closed form mu = i sqrt(6/(5 pi)).
+Poincare map, Abel's identity for the Wronskian, and the closed form
+mu = i sqrt(6/(5 pi)).
 """
 
 import cmath
@@ -16,9 +17,11 @@ import pytest
 
 from boutroux import cycles, odes
 from boutroux.cycles import (
+    SEPARATRIX_PERIOD,
     U_BASE,
     Cycle,
     _contour,
+    _ode_continue,
     cubic_roots,
     cycle_J,
     cycle_L,
@@ -27,14 +30,12 @@ from boutroux.cycles import (
     relative_drift,
     rho,
     run_cycles,
-    solve_J_ode,
     solve_stok2,
 )
 from boutroux.errors import (
     DegenerateCycleError,
     MatchFailureError,
     NoConvergenceError,
-    NoIntegerConsistencyError,
     OutsideRegionError,
     StepFailureError,
 )
@@ -205,11 +206,14 @@ class TestCycleIntegrals:
         (-0.3 + 0.2j, 1), (-0.3 - 0.2j, -1), (-1.1 + 0.4j, 1),
         (-1.1 - 0.4j, -1), (-0.6 + 1e-9j, 1), (-0.6 - 1e-9j, -1)])
     def test_wronskian_exact(self, s, sigma):
-        """J Jhat' - (L/2) Jhat = -24 sigma/5 on both sides of the axis."""
+        """J Jhat' - (L/2) Jhat = -24 sigma/5 on both sides of the axis,
+        and sigma times it is the derived separatrix period J(0)."""
         assert cycles._sigma(complex(s)) == sigma
         J, L = cycle_J(s), cycle_L(s)
         H, Hp = jhat_at(s)
-        assert abs(J * Hp - L / 2 * H - (-24 * sigma / 5)) <= 1e-13 * 4.8
+        W = J * Hp - L / 2 * H
+        assert abs(W - (-24 * sigma / 5)) <= 1e-13 * 4.8
+        assert abs(sigma * W - SEPARATRIX_PERIOD) <= 1e-13 * 4.8
 
     @pytest.mark.parametrize("s0, sigma", [
         (-0.1, 1), (-0.5 + 0.3j, 1), (-0.5 - 0.3j, -1)])
@@ -245,16 +249,16 @@ class TestCycleIntegrals:
             assert abs(Lpp - dlnrho * Lp + rho(s) * L / 4) < 1e-6
 
 
+def _wronskian(s):
+    """W = J Jhat' - J' Jhat from the period engine, with J' = L/2."""
+    H, Hp = jhat_at(s)
+    return cycle_J(s) * Hp - cycle_L(s) / 2 * H
+
+
 class TestPeriodTable:
     def test_wronskian_constant(self):
-        tab = solve_J_ode(S_GRID)
-        w = np.asarray(tab.wronskian)
+        w = np.asarray([_wronskian(s) for s in S_GRID])
         assert np.max(np.abs(w - w.mean())) < 1e-9
-
-    def test_J_matches_quadrature(self):
-        tab = solve_J_ode(S_GRID)
-        for s, J in zip(S_GRID, tab.J):
-            assert abs(J - _periods(s)[0]) < 1e-6
 
     def test_jhat_vanishes_at_origin(self):
         val, der = jhat_at(-0.01)
@@ -279,24 +283,17 @@ class TestPeriodTable:
                 assert abs(der - dref) <= 1e-11 * abs(dref)
 
     def test_K_well_defined_near_zero(self):
-        tab = solve_J_ode(np.linspace(-0.5, -0.1, 5))
-        assert np.all(np.isfinite(np.asarray(tab.Jhat) / np.asarray(tab.J)))
+        K = [jhat_at(s)[0] / cycle_J(s) for s in np.linspace(-0.5, -0.1, 5)]
+        assert np.all(np.isfinite(K))
 
     def test_continuation_through_singular_point_fails(self):
         """The segments -0.5 -> -1.5 and -0.5 -> 0.5 run through rho's
         poles s = -4/3 and s = 0."""
-        for grid in ([-0.5, -1.5], [-0.5, 0.5]):
+        y0 = jhat_at(-0.5)
+        for s1 in (-1.5, 0.5):
             with pytest.raises(MatchFailureError,
                                match="period ODE continuation failed"):
-                solve_J_ode(grid)
-
-    def test_branch_flip_of_quadrature_detected(self):
-        """cycle_J's sign sigma, the principal root at u0 = -4, flips where
-        s - 16/3 crosses the negative real axis; the grid-continued J does
-        not."""
-        with pytest.raises(MatchFailureError,
-                           match="grid-continued J deviates"):
-            solve_J_ode([-0.3 + 0.3j, -0.3 - 0.3j])
+                _ode_continue(-0.5, y0, s1)
 
 
 class TestPoincareMap:
@@ -389,6 +386,17 @@ class TestPoincareMap:
         with pytest.raises(StepFailureError, match="ENTER_G"):
             poincare_step(self.X0, -0.1)
 
+    def test_start_on_jhat_cut_raises(self, monkeypatch):
+        """A real s0 < -4/3 lies on the cut of Jhat: run_cycles refuses it
+        before any period continuation or map step."""
+        calls = []
+        for name in ("_ode_continue", "poincare_step"):
+            monkeypatch.setattr(cycles, name, lambda *a: calls.append(a))
+        for s0 in (-2.0, -1.5 + 0j, -3):
+            with pytest.raises(OutsideRegionError, match="cut of Jhat"):
+                run_cycles(self.X0, s0, 3)
+        assert calls == []
+
     def test_degenerate_start_raises(self):
         """s0 = 16/3 puts R = 0 at the base node u = -4: the cubic has a
         root on the contour, and the map refuses the start as run_cycles
@@ -450,10 +458,11 @@ class TestStok2:
         assert abs(cmath.phase(mu) - math.pi / 2) < 1e-12
         assert resid < 1e-12
 
-    def test_explicit_integer(self):
-        mu, resid = solve_stok2(N=1)
-        assert resid < 1e-12
-
-    def test_wrong_integer_rejected(self):
-        with pytest.raises(NoIntegerConsistencyError):
-            solve_stok2(N=3)
+    def test_residual_sees_the_period_engine(self, monkeypatch):
+        """The residual is Abel's check of the engine: a relative error of
+        1e-9 in Jhat shows in it, which a rearranged identity would not."""
+        assert solve_stok2()[1] < 1e-12
+        scale = 1 + 1e-9
+        monkeypatch.setattr(cycles, "jhat_at", lambda s: tuple(
+            scale * v for v in jhat_at(s)))
+        assert solve_stok2()[1] >= 1e-10
