@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, frexp, log2
+from math import ceil, factorial, frexp, isqrt, log2, log10
 from operator import mul
 
 import mpmath as mp
-from mpmath.libmp import fzero, to_fixed
+from mpmath.libmp import fzero, ln2_fixed, pi_fixed, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .connection import neville
 from .errors import (
@@ -175,22 +176,26 @@ class GermEvaluator:
         with mp.workdps(PADE_DPS):
             return abs(self(p) - _pade_value(self._pq_check, p))
 
-    def check_ray(self, phi, tmax, decay, tol):
+    def check_ray(self, phi, tmax, decay, tol, worst=None):
         """Guard the ray: Pade error times the Laplace weight must stay
-        below ``tol``.  Raises RadiusExceededError otherwise."""
-        with mp.workdps(PADE_DPS):
-            direction = mp.expj(phi)
-            worst = mp.mpf(0)
-            for i in range(1, GUARD_SAMPLES + 1):
-                t = tmax * i / GUARD_SAMPLES
-                worst = max(worst,
-                            self.err_est(direction * t) * mp.exp(-decay * t))
+        below ``tol``.  Raises RadiusExceededError otherwise, and returns
+        that weighted error; ``worst`` is one already sampled on the same
+        ray, tmax and decay."""
+        if worst is None:
+            with mp.workdps(PADE_DPS):
+                direction = mp.expj(phi)
+                worst = mp.mpf(0)
+                for i in range(1, GUARD_SAMPLES + 1):
+                    t = tmax * i / GUARD_SAMPLES
+                    worst = max(worst, self.err_est(direction * t)
+                                * mp.exp(-decay * t))
         if worst > tol:
             raise RadiusExceededError(
                 "weighted Pade continuation error %.3e exceeds tolerance "
                 "%.3e on ray arg p = %.4f"
                 % (float(worst), float(tol), float(phi)),
                 err_est=worst)
+        return worst
 
 
 def _toeplitz_solve(cs, L, m):
@@ -276,15 +281,17 @@ def _evaluator(germ):
 # Panel sums and Laplace rays
 
 CC_ORDERS = (4, 8, 16, 32, 64, 128, 256)
+CC_TOP = CC_ORDERS[-1]
+# fractional bits of the fixed-point integrand above the working precision
+GUARD_BITS = 32
 
 
 @lru_cache(maxsize=None)
 def _cc_rule(n, prec):
     """Points cos(j pi/n), j = 0..n, and Clenshaw-Curtis weights on [-1, 1].
 
-    Point j of order n is bit-identical to point 2j of order 2n, so nested
-    orders share their cached nodes.  Weight n - j sums the same terms as
-    weight j (2k(n - j) = -2kj mod 2n), so only j <= n/2 are summed."""
+    Weight n - j sums the same terms as weight j (2k(n - j) = -2kj mod 2n),
+    so only j <= n/2 are summed."""
     with mp.workprec(prec):
         c = [mp.cospi(mp.mpf(j) / n) for j in range(n + 1)]
         w = []
@@ -296,44 +303,118 @@ def _cc_rule(n, prec):
     return c, w + w[n - len(w)::-1]
 
 
-def _panel_sum(f, smax):
-    """int_0^b f(s) ds and its error estimate, b the first of the dyadic
-    edges 2^j, j >= -5, at or above ``smax``.  Each panel between edges
-    carries nested Clenshaw-Curtis rules (the order-n nodes contain the
-    order-n/2 ones, adjacent panels share an end node, f is called once
-    per node) and is refined through CC_ORDERS until its estimated error
-    is below 16 ulps of the working precision times int_0^b |f|."""
-    panels, a, b = [], mp.mpf(0), mp.ldexp(1, -5)
-    while a < smax:
-        panels.append((a, b))
-        a, b = b, 2 * b
-    fs = {}  # node s -> f(s)
+@lru_cache(maxsize=None)
+def _cc_grid(bits):
+    """cos(k pi/CC_TOP), k = 0..CC_TOP, as integers scaled by 2^bits, each
+    within one unit.  Node j of order n is grid node j CC_TOP/n, so nested
+    orders share their nodes."""
+    with mp.workprec(bits + 16):
+        return [to_fixed(mp.cospi(mp.mpf(k) / CC_TOP)._mpf_, bits)
+                for k in range(CC_TOP + 1)]
 
-    def rule(panel, n, absolute=False):  # int of f, or |f|, over one panel
-        a, b = panel
-        nodes, weights = _cc_rule(n, mp.mp.prec)
-        mid, half = (a + b) / 2, (b - a) / 2
-        ss = [mid + half * c for c in nodes]
-        fs.update((s, f(s)) for s in ss if s not in fs)
-        vals = [fs[s] for s in ss]
-        return mp.fdot(weights, map(abs, vals) if absolute else vals) * half
 
-    rules = [[rule(pan, n) for n in CC_ORDERS[:3]] for pan in panels]
-    # int |f| by the order-16 rules, whose nodes are all cached by now
-    target = 16 * mp.eps * sum(rule(pan, CC_ORDERS[2], absolute=True)
-                               for pan in panels)
-    for pan, r in zip(panels, rules):
+@lru_cache(maxsize=None)
+def _cc_weights(n, bits):
+    """The weights of :func:`_cc_rule` likewise."""
+    return [to_fixed(w._mpf_, bits) for w in _cc_rule(n, bits + 16)[1]]
+
+
+def _ceil_abs(re, im):
+    n = re * re + im * im
+    r = isqrt(n)
+    return r + (r * r < n)
+
+
+def _panel_sum(f, panels, prec, rel):
+    """int_0^b f(s) ds over the first ``panels`` dyadic panels, in integers.
+
+    Panel 0 is [0, 2^-5] and panel i >= 1 is [2^(i-6), 2^(i-5)], so
+    b = 2^(panels-6).  f(i, k) is the integrand at grid node k of panel i,
+    s = mid + half cos(k pi/CC_TOP), as (re, im, e) for (re + i im) 2^e,
+    within 2^-rel of its modulus.  Adjacent panels share an end node and
+    f is called once per node.  Each panel carries nested Clenshaw-Curtis
+    rules and is refined through CC_ORDERS until its estimated error is
+    below 16 ulps of ``prec`` bits times int_0^b |f|.
+
+    Node values are put on one block scale 2^B, set so that the largest
+    order-16 value holds rel + 1 bits, and a rule is an integer dot
+    product with weights of prec + GUARD_BITS fractional bits.  Returns
+    (re, im, err, e): the integral (re + i im) 2^e and err 2^e, the sum
+    over panels of the quadrature estimate and of a bound on the rounding
+    of the last rule (node errors, values shifted below 2^B, truncated
+    weights).
+    """
+    wbits = prec + GUARD_BITS
+    raw = {}  # (panel, grid index) -> f
+
+    def key(i, k):
+        return (i - 1, 0) if k == CC_TOP and i else (i, k)
+
+    for i in range(panels):
+        for k in range(0, CC_TOP + 1, CC_TOP // CC_ORDERS[2]):
+            kk = key(i, k)
+            if kk not in raw:
+                raw[kk] = f(*kk)
+    B = max((e + max(abs(re), abs(im)).bit_length()
+             for re, im, e in raw.values() if re or im), default=0) - rel
+    fs = {}  # (panel, grid index) -> (re, im, |.|) in units of 2^B
+
+    def values(i, n):
+        out = []
+        for j in range(0, CC_TOP + 1, CC_TOP // n):
+            kk = key(i, j)
+            if kk not in fs:
+                re, im, e = raw.pop(kk) if kk in raw else f(*kk)
+                sh = e - B
+                re, im = (re << sh, im << sh) if sh >= 0 \
+                    else (re >> -sh, im >> -sh)
+                fs[kk] = (re, im, _ceil_abs(re, im))
+            out.append(fs[kk])
+        return out
+
+    # rule values carry the unit 2^(B - wbits) times the half-width of
+    # panels 0 and 1, 2^-6
+    def dot(i, n, part):
+        parts = (v[part] for v in values(i, n))
+        return sum(map(mul, _cc_weights(n, wbits), parts)) << max(i - 1, 0)
+
+    def rule(i, n):
+        return dot(i, n, 0), dot(i, n, 1)
+
+    def rounding(i, n):
+        mods = sum(v[2] for v in values(i, n)) << max(i - 1, 0)
+        return (dot(i, n, 2) >> rel) + 1 \
+            + (sum(_cc_weights(n, wbits)) << max(i - 1, 0)) + 2 * mods
+
+    rules = [[rule(i, n) for n in CC_ORDERS[:3]] for i in range(panels)]
+    # 16 ulps of int |f| by the order-16 rules, whose nodes are all known
+    target = sum(dot(i, CC_ORDERS[2], 2) for i in range(panels)) \
+        >> (prec - 5)
+    err = 0
+    for i, r in enumerate(rules):
         while _estimate(r) > target and len(r) < len(CC_ORDERS):
-            r.append(rule(pan, CC_ORDERS[len(r)]))
-    return sum(r[-1] for r in rules), sum(_estimate(r) for r in rules)
+            r.append(rule(i, CC_ORDERS[len(r)]))
+        err += _estimate(r) + rounding(i, CC_ORDERS[len(r) - 1])
+    return (sum(r[-1][0] for r in rules), sum(r[-1][1] for r in rules),
+            err, B - wbits - 6)
 
 
 def _estimate(rules):
-    """Error of the last of nested rule values: d^2/d_prev bounds it under
-    geometric convergence, d (the embedded-rule difference) in any case."""
-    d = abs(rules[-1] - rules[-2])
-    d_prev = abs(rules[-2] - rules[-3])
-    return min(d, d * d / d_prev) if d_prev else d
+    """Error of the last of nested rule values (integer pairs): d^2/d_prev
+    bounds it under geometric convergence, d (the embedded-rule
+    difference) in any case."""
+    r0, r1, r2 = rules[-3:]
+    d = _ceil_abs(r2[0] - r1[0], r2[1] - r1[1])
+    d_prev = _ceil_abs(r1[0] - r0[0], r1[1] - r0[1])
+    return min(d, -(-d * d // d_prev)) if d_prev else d
+
+
+def _to_gauss(z, bits):
+    """(re, im, e) with z ~ (re + i im) 2^e, the larger part below 2^bits,
+    each truncated toward 0."""
+    parts = mp.mpc(z)._mpc_
+    e = max((v[2] + v[3] for v in parts if v[1]), default=bits) - bits
+    return to_fixed(parts[0], -e), to_fixed(parts[1], -e), e
 
 
 class LaplaceEngine:
@@ -343,38 +424,86 @@ class LaplaceEngine:
     Y(p), p = u s for integer germs, or G = s^{lead2+1} Y(p), p = u s^2 for
     half-integer ones.  Every x integrates whole panels of
     :func:`_panel_sum`, so all x on the ray share their nodes up to the
-    shorter truncation edge.  G is cached per node, and a later x pays only
-    for its exponentials.
+    shorter truncation edge.  G is cached per node, keyed on (panel, grid
+    index), and a later x pays only for its exponentials and sums, which
+    run on integers: s^k, G and e^{-px} = e^{-s^k u x} are fixed-point at
+    the working precision plus GUARD_BITS, the exponentials from libmp's
+    exp_fixed and cos_sin_fixed.  The engine remembers its last sum and
+    its last guard value, so a repeated (x, panel edge) or (tmax, decay)
+    costs nothing.
     """
 
     def __init__(self, germ, phi):
         self.evaluator = _evaluator(germ)
         self.lead2 = germ.lead2
-        self.u = mp.expj(phi)
-        self._g = {}  # node s -> (-p, G(s))
+        self.phi = phi
+        self.bits = mp.mp.prec + GUARD_BITS
+        with mp.workprec(self.bits):
+            self.u = mp.expj(phi)
+        self._g = {}  # (panel, grid index) -> (s^k 2^bits, G as (re, im, e))
+        self._last = self._guard = (None, None)
 
-    def _node(self, s):
-        if s not in self._g:
-            p = self.u * s ** (1 + self.lead2 % 2)
-            lead = s ** (self.lead2 + 1) if self.lead2 % 2 \
-                else p ** (self.lead2 // 2)
-            self._g[s] = (-p, lead * self.evaluator(p))
-        return self._g[s]
+    def _node(self, i, j):
+        if (i, j) not in self._g:
+            W, k = self.bits, 1 + self.lead2 % 2
+            h = -6 if i == 0 else i - 7  # log2 half-width of panel i
+            s = ((1 if i == 0 else 3) << W) + _cc_grid(W)[j]
+            s = s << h if h >= 0 else s >> -h
+            with mp.workprec(max(W, s.bit_length())):
+                q = mp.mpf((s, -W))  # exactly
+                p = self.u * q ** k
+                lead = q ** (self.lead2 + 1) if k == 2 \
+                    else p ** (self.lead2 // 2)
+                g = _to_gauss(lead * self.evaluator(p), W)
+            self._g[i, j] = (s if k == 1 else s * s >> W,) + g
+        return self._g[i, j]
+
+    def guard(self, tmax, decay, tol):
+        """The Pade guard of :meth:`GermEvaluator.check_ray`, its weighted
+        error reused when (tmax, decay) repeats."""
+        key = (tmax, decay)
+        worst = self._guard[1] if self._guard[0] == key else None
+        self._guard = (key, self.evaluator.check_ray(
+            self.phi, tmax, decay, tol, worst))
 
     def integrate(self, x, tmax):
         """int e^{-p x} Y(p) p^{lead2/2} dp along the ray, up to the panel
         edge at or past tmax, and its error estimate."""
         # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
         half_int = self.lead2 % 2
+        smax = mp.sqrt(tmax) if half_int else tmax
+        panels = 1
+        while mp.ldexp(1, panels - 6) < smax:
+            panels += 1
+        if self._last[0] != (x, panels):
+            val, err = self._sum(x, panels)
+            val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \
+                else self.u
+            self._last = ((x, panels), (val, err))
+        return self._last[1]
 
-        def f(s):
-            minus_p, g = self._node(s)
-            return mp.exp(minus_p * x) * g
+    def _sum(self, x, panels):
+        W, k = self.bits, 1 + self.lead2 % 2
+        with mp.workprec(W + 8):
+            zr, zi = (to_fixed(v, W) for v in mp.mpc(self.u * x)._mpc_)
+        ln2, pi2 = ln2_fixed(W), pi_fixed(W - 1)
 
-        val, err = _panel_sum(f, mp.sqrt(tmax) if half_int else tmax)
-        val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \
-            else self.u
-        return val, err
+        def f(i, j):
+            sk, gr, gi, ge = self._node(i, j)
+            # e^{-s^k z} = 2^n e^t (cos b - i sin b), -a = n ln 2 + t
+            n, t = divmod(-(sk * zr >> W), ln2)
+            m = exp_fixed(t, W, ln2)
+            c, sn = cos_sin_fixed(sk * zi >> W, W, pi2)
+            er, ei = m * c >> W, -(m * sn) >> W
+            return er * gr - ei * gi, er * gi + ei * gr, n - W + ge
+
+        # relative error of a value: the roundings of s^k, z and G, and
+        # the kernels' last bits, magnified by |z| and s^k <= 2^(k(panels-6))
+        zmax = (abs(zr) + abs(zi) >> W) + 2
+        amp = 4 * zmax * (2 << k * max(panels - 6, 0)) + 16
+        re, im, err, e = _panel_sum(f, panels, mp.mp.prec,
+                                    W - amp.bit_length())
+        return mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))), mp.mpf((err, e))
 
 
 def _singular_direction_margin(phi):
@@ -397,13 +526,18 @@ def laplace_ray(germ, x, phi=None, tol=None):
     Computes  int_0^{e^{i phi} inf} e^{-p x} Y(p) dp  where Y is the germ
     continued by Pade.  ``phi`` defaults to -arg(x), the ray of steepest
     decay.  Half-integer germs are integrated in the variable q = sqrt(p)
-    so the endpoint power p^{k/2-1} becomes smooth.
+    so the endpoint power p^{k/2-1} becomes smooth.  Germ coefficients
+    are rational (the Pade tables are built from Fractions), so by Schwarz
+    reflection the sum on a ray phi < 0 is conj of the one at
+    (-phi, conj x), and one engine serves both rays.
 
     Works at the ambient mpmath precision, which the quadrature always
     aims at; ``tol`` defaults to a few ulps of the ambient dps and sets the
     truncation point of the ray and the Pade-degradation guard.
     """
     x = mp.mpmathify(x)
+    if not mp.isfinite(x):
+        raise QuadratureError("x = %s is not finite" % mp.nstr(x))
     if phi is None:
         # steepest-decay ray, but kept at least pi/4 off the cuts (same
         # side, so the lateral sum is unchanged); exactly real x is a
@@ -425,19 +559,22 @@ def laplace_ray(germ, x, phi=None, tol=None):
             (float(phi), mp.nstr(x)))
     if tol is None:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
+    mirror = phi < 0
+    if mirror:
+        phi, x = -phi, mp.conj(x)
     engine = _engine(germ, phi, mp.mp.prec)
 
     # truncate where the exponential weight alone is below tolerance
     tmax = max(mp.mpf(3), -mp.log(tol * mp.mpf("1e-3")) / decay)
     if not mp.isfinite(tmax):
         raise QuadratureError("ray truncation point is not finite")
-    engine.evaluator.check_ray(phi, tmax, decay, tol * 100)
+    engine.guard(tmax, decay, tol * 100)
 
     val, err = engine.integrate(x, tmax)
     if err > tol * (1 + abs(val)) * 100:
         raise QuadratureError("ray quadrature error %.3e above target"
                               % float(err), err_est=err)
-    return val
+    return mp.conj(val) if mirror else val
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +596,12 @@ def estimate_S(germ=None):
     if germ is None:
         germ = solve_H0_convolution()
     offset = germ.lead2 // 2
-    with mp.workdps(50):
+    # Neville's extrapolation to 1/n = 0 from J + 1 nodes about 2/n^2
+    # apart magnifies rounding by about n^J / J!; keep 30 digits past that
+    J = EXTRAPOLATION_ORDER
+    dps = 30 + ceil(J * log10(max(offset + len(germ.coeffs), 2))
+                    - log10(factorial(J)))
+    with mp.workdps(dps):
         seq = []
         for i, b in enumerate(germ.coeffs):
             n = offset + i
@@ -468,7 +610,7 @@ def estimate_S(germ=None):
             bn = mp.mpf(b.numerator) / b.denominator
             seq.append((n, bn * mp.sqrt(mp.pi) * mp.factorial(n)
                         / (2 * mp.gamma(n + mp.mpf("0.5")))))
-        if len(seq) < EXTRAPOLATION_ORDER + 4:
+        if len(seq) < J + 4:
             raise NoConvergenceError("too few coefficients for extrapolation")
         drift = abs(seq[-1][1] / seq[-2][1] - 1)
         if drift > mp.mpf("0.01"):
@@ -477,12 +619,12 @@ def estimate_S(germ=None):
                 "singularity is probably not at |p| = 1",
                 diagnostics={"last_ratio_drift": float(drift)})
 
-        def extrapolate(J):
-            ns, vals = zip(*seq[-(J + 1):])
+        def extrapolate(order):
+            ns, vals = zip(*seq[-(order + 1):])
             return neville([1 / mp.mpf(n) for n in ns], vals)
 
-        val = extrapolate(EXTRAPOLATION_ORDER)
-        err = abs(val - extrapolate(EXTRAPOLATION_ORDER - 2))
+        val = extrapolate(J)
+        err = abs(val - extrapolate(J - 2))
     return val, err
 
 
@@ -509,6 +651,8 @@ def sum_transseries(C, x, phi=None, tol=None, return_info=False):
     """
     x = mp.mpmathify(x)
     C = mp.mpmathify(C)
+    if not mp.isfinite(C):
+        raise NonConvergentSumError("C = %s is not finite" % mp.nstr(C))
     if tol is None:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
     total = laplace_ray(solve_H0_convolution(), x, phi=phi, tol=tol)

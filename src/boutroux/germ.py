@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -18,3 +19,12 @@ class BorelGerm:
     lead2: int
     coeffs: tuple = field(default_factory=tuple)
     sqrtpi: bool = False
+
+    @cached_property
+    def _hash(self):
+        return hash((self.lead2, self.coeffs, self.sqrtpi))
+
+    def __hash__(self):
+        # the Pade and Laplace caches key on germs, and hashing hundreds of
+        # Fractions on every lookup costs about 0.5 ms
+        return self._hash

@@ -37,10 +37,44 @@ def mu():
     return 1j * mp.sqrt(mp.mpf(6) / (5 * mp.pi))
 
 
+def mp_panel_sum(f, smax):
+    """int_0^b f(s) ds and its error estimate in mpmath, b the first of the
+    dyadic edges 2^j, j >= -5, at or above ``smax``: the panels, nested
+    Clenshaw-Curtis rules and refinement of borel._panel_sum, on mpmath
+    values of an arbitrary integrand."""
+    panels, a, b = [], mp.mpf(0), mp.ldexp(1, -5)
+    while a < smax:
+        panels.append((a, b))
+        a, b = b, 2 * b
+    fs = {}  # node s -> f(s)
+
+    def rule(panel, n, absolute=False):  # int of f, or |f|, over one panel
+        a, b = panel
+        nodes, weights = borel._cc_rule(n, mp.mp.prec)
+        mid, half = (a + b) / 2, (b - a) / 2
+        ss = [mid + half * c for c in nodes]
+        fs.update((s, f(s)) for s in ss if s not in fs)
+        vals = [fs[s] for s in ss]
+        return mp.fdot(weights, map(abs, vals) if absolute else vals) * half
+
+    def estimate(r):
+        d, d_prev = abs(r[-1] - r[-2]), abs(r[-2] - r[-3])
+        return min(d, d * d / d_prev) if d_prev else d
+
+    orders = borel.CC_ORDERS
+    rules = [[rule(pan, n) for n in orders[:3]] for pan in panels]
+    target = 16 * mp.eps * sum(rule(pan, orders[2], absolute=True)
+                               for pan in panels)
+    for pan, r in zip(panels, rules):
+        while estimate(r) > target and len(r) < len(orders):
+            r.append(rule(pan, orders[len(r)]))
+    return sum(r[-1] for r in rules), sum(estimate(r) for r in rules)
+
+
 def jump_via_hankel(germ, x):
     """Loop integral of e^{-px} Y(p) around the Borel cut [1, inf): a
     second route to the Stokes jump that criterion 4a measures by lateral
-    sums, on the package's panel sum.
+    sums, on an mpmath panel sum.
 
     The loop comes in along Im p = -d, turns on Re p = a = 1 - d and goes
     out along Im p = d.  This equals the lateral Laplace sum above the
@@ -69,7 +103,7 @@ def jump_via_hankel(germ, x):
             (a, -1j, d, -1), (mp.mpc(a, -d), 1, T - a, -1))
     total, errs = mp.mpc(0), mp.mpf(0)
     for z0, v, length, sign in legs:
-        seg, e = borel._panel_sum(lambda s: f(z0 + v * s) * v, length)
+        seg, e = mp_panel_sum(lambda s: f(z0 + v * s) * v, length)
         total += sign * seg
         errs += e
     if errs > tol * (1 + abs(total)) * 1e6:
@@ -315,23 +349,74 @@ class TestLaplaceRay:
         assert abs(v1 - v2) < 1e-24
 
     def test_values_independent_of_call_order(self):
-        """Cached nodes must not make a value depend on earlier calls."""
+        """Cached nodes and remembered sums must not make a value depend on
+        earlier calls, also when the two lateral rays are interleaved."""
         g = solve_H0_convolution()
-        xs = [mp.mpf(9), mp.mpf("10.25"), mp.mpf("11.5")]
-        for phi in (mp.pi / 4, -mp.pi / 4):
+        calls = [(x, phi) for x in (mp.mpf(9), mp.mpf("10.25"),
+                                    mp.mpc("11.5", "0.5"))
+                 for phi in (mp.pi / 4, -mp.pi / 4)]
+        fresh = []
+        for x, phi in calls:
             borel._engine.cache_clear()
-            fwd = [laplace_ray(g, x, phi=phi) for x in xs]
+            fresh.append(laplace_ray(g, x, phi=phi))
+        # interleaved, reversed, and one ray after the other
+        for order in (calls, calls[::-1], calls[::2] + calls[1::2]):
             borel._engine.cache_clear()
-            rev = [laplace_ray(g, x, phi=phi) for x in reversed(xs)][::-1]
-            fresh = []
-            for x in xs:
-                borel._engine.cache_clear()
-                fresh.append(laplace_ray(g, x, phi=phi))
-            assert fwd == rev == fresh
+            seen = {c: laplace_ray(g, c[0], phi=c[1]) for c in order}
+            assert [seen[c] for c in calls] == fresh
 
-    def test_second_x_reuses_nodes(self, monkeypatch):
-        """A later x on the same ray evaluates the germ only in the guard."""
+    MIRROR_GERMS = {"H0": solve_H0_convolution, "H1": lambda: germ_Hk(1),
+                    "H2": lambda: germ_Hk(2),
+                    "geometric": toy_geometric_germ,
+                    "halfint": toy_halfint_germ}
+
+    @pytest.mark.parametrize("name", sorted(MIRROR_GERMS))
+    def test_mirror_identity(self, name):
+        """A ray phi < 0 is summed on its mirror: laplace_ray(g, x, -phi)
+        is conj laplace_ray(g, conj x, phi), and agrees with an engine on
+        the ray -phi itself to its error estimate."""
+        g = self.MIRROR_GERMS[name]()
+        for x in (mp.mpc(10, 4), mp.mpc(20, -7)):
+            for phi in (mp.pi / 4, mp.pi / 8):
+                mirrored = laplace_ray(g, x, phi=-phi, tol=1e-20)
+                assert mirrored == mp.conj(
+                    laplace_ray(g, mp.conj(x), phi=phi, tol=1e-20))
+                tmax = -mp.log(mp.mpf("1e-33")) / mp.re(mp.expj(-phi) * x)
+                direct, err = borel.LaplaceEngine(g, -phi).integrate(
+                    x, tmax)
+                up, err_up = borel.LaplaceEngine(g, phi).integrate(
+                    mp.conj(x), tmax)
+                assert abs(direct - mp.conj(up)) \
+                    <= err + err_up + 1e-29 * abs(direct)
+                assert abs(direct - mirrored) <= 1e-20 * abs(direct)
+
+    def test_error_bounds_the_integer_sum(self, monkeypatch):
+        """The integer panel sum at 30 digits is within its error bound
+        (quadrature estimate and rounding) of the same sum at 45 digits.
+        Rounding u x to the working precision before the fixed-point
+        exponentials broke this 7,700-fold at x = 12.5."""
+        sums = []
+        panel_sum = borel._panel_sum
+
+        def keep(*args):
+            sums.append(panel_sum(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(borel, "_panel_sum", keep)
         g = solve_H0_convolution()
+        for x, phi in ((mp.mpf("12.5"), mp.pi / 8),
+                       (mp.mpc(4, 20), mp.mpf("-0.9"))):
+            tmax = -mp.log(mp.mpf("1e-30")) / mp.re(mp.expj(phi) * x)
+            for dps in (30, 45):
+                with mp.workdps(dps):
+                    borel.LaplaceEngine(g, phi).integrate(x, tmax)
+            (re, im, err, e), (re45, im45, _, e45) = sums[-2:]
+            with mp.workdps(60):
+                diff = mp.mpc(mp.ldexp(re, e) - mp.ldexp(re45, e45),
+                              mp.ldexp(im, e) - mp.ldexp(im45, e45))
+                assert 0 < abs(diff) <= mp.ldexp(err, e)
+
+    def count_germ_calls(self, monkeypatch):
         calls = []
         call = borel.GermEvaluator.__call__
 
@@ -341,6 +426,35 @@ class TestLaplaceRay:
 
         monkeypatch.setattr(borel.GermEvaluator, "__call__", counting)
         borel._engine.cache_clear()
+        return calls
+
+    def test_mirrored_pair_costs_one_sum(self, monkeypatch):
+        """At real x the ray -phi right after phi reuses the sum and the
+        guard of its mirror and evaluates the germ 0 times; at complex x
+        the mirror's x differs, so only the guard's samples are new."""
+        g = solve_H0_convolution()
+        calls = self.count_germ_calls(monkeypatch)
+        for x, new in ((mp.mpf(9), 0), (mp.mpc(9, 1), 8)):
+            up = laplace_ray(g, x, phi=mp.pi / 4)
+            assert calls
+            del calls[:]
+            down = laplace_ray(g, x, phi=-mp.pi / 4)
+            assert len(calls) == new
+            if not new:
+                assert down == mp.conj(up)
+
+    def test_non_finite_input_raises(self):
+        g = solve_H0_convolution()
+        for x in (mp.nan, mp.inf, mp.mpc(5, mp.inf), mp.mpc(mp.nan, 1)):
+            with pytest.raises(QuadratureError, match="not finite"):
+                laplace_ray(g, x)
+            with pytest.raises(QuadratureError, match="not finite"):
+                laplace_ray(g, x, phi=-mp.pi / 4)
+
+    def test_second_x_reuses_nodes(self, monkeypatch):
+        """A later x on the same ray evaluates the germ only in the guard."""
+        g = solve_H0_convolution()
+        calls = self.count_germ_calls(monkeypatch)
         laplace_ray(g, mp.mpf(9), phi=mp.pi / 4)
         first = len(calls)
         del calls[:]
@@ -366,6 +480,15 @@ class TestStokesData:
         assert err < 1e-12
         # relation S = mu / (2 i sqrt(pi)) up to overall sign convention
         assert abs(abs(S) - abs(mu() / (2j * mp.sqrt(mp.pi)))) < 1e-15
+
+    def test_estimate_S_covers_its_error_at_order_800(self):
+        """The working precision grows with the germ's order: at 50 digits
+        the extrapolation's rounding (2.5e-26 relative at order 800) was
+        above its estimate (1.5e-27)."""
+        S, err = estimate_S(solve_H0_convolution(800))
+        with mp.workdps(60):
+            target = mp.sqrt(mp.mpf(6) / (5 * mp.pi)) / (2 * mp.sqrt(mp.pi))
+            assert abs(abs(S) - target) <= err < 1e-25
 
     def test_estimate_S_detects_wrong_radius(self):
         """A germ with radius 1/2 must be refused, not silently fitted."""
@@ -453,6 +576,13 @@ class TestTransseriesSum:
         # far above tol and summation must refuse
         with pytest.raises(NonConvergentSumError):
             sum_transseries(mp.mpf(1.6e5), mp.mpf(10), phi=-mp.pi / 4)
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            sum_transseries(1, mp.nan)
+        for C in (mp.nan, mp.inf, mp.mpc(1, mp.inf)):
+            with pytest.raises(NonConvergentSumError, match="not finite"):
+                sum_transseries(C, mp.mpf(10))
 
     def test_growing_levels_raise(self):
         # xi ~ 36 lies beyond |xi| = 12: levels grow from the start
