@@ -12,10 +12,13 @@ the Toeplitz system of the denominator is solved by the Levinson-Trench
 recursion in O(m^2) (an even germ as a function of p^2), and both
 polynomials are rounded once to Python integers, fixed-point numbers with
 FIX_BITS fractional bits.  A table is evaluated by Horner's rule on those
-integers; only the final division of numerator by denominator runs in
-mpmath, at PADE_DPS digits.  Laplace integrals along rotated rays then
-produce actual tronquee solutions.  Rays are integrated by one panel sum,
-nested Clenshaw-Curtis rules on whole dyadic panels (:func:`_panel_sum`).
+integers, an even germ's (H0's) in w = p^2; only the final division of
+numerator by denominator runs in mpmath, at PADE_DPS digits.  Laplace
+integrals along rotated rays then produce actual tronquee solutions.  Rays
+are integrated by one panel sum, nested Clenshaw-Curtis rules on whole
+dyadic panels (:func:`_panel_sum`).  The Pade guard reads the difference to
+a lower-order table, recorded once at each node of the panels' order-16
+rules, from the outermost panel inward until the difference is negligible.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, frexp, isqrt, log2, log10
+from math import ceil, factorial, frexp, inf, isqrt, log2, log10
 from operator import mul
 
 import mpmath as mp
@@ -44,10 +47,9 @@ from .germ import BorelGerm
 from .series import EQP_COEFF, _append, borel_transform, level_series
 
 # Precision of a Pade table value: the final division of numerator by
-# denominator and the guard run at PADE_DPS digits.  Empirically a
-# 200-coefficient germ continues a square-root branch point to |p| ~ 3 on
-# a 45-degree ray with error below 1e-22, far under the Laplace weight
-# there.
+# denominator runs at PADE_DPS digits.  Empirically a 200-coefficient germ
+# continues a square-root branch point to |p| ~ 3 on a 45-degree ray with
+# error below 1e-22, far under the Laplace weight there.
 PADE_DPS = 60
 # Fractional bits of the fixed-point tables: PADE_DPS digits plus a 40-bit
 # margin for the growth of Horner's rounding errors with |p| (at 200 bits
@@ -65,8 +67,6 @@ DEFAULT_GERM_ORDER = 200
 # the Pade table behind the error estimate leaves out this many of the
 # last coefficients
 CHECK_DROP = 20
-# points sampled along a ray by the Pade guard
-GUARD_SAMPLES = 8
 # levels after which a transseries sum that is still above tol is refused
 KMAX = 24
 # number of 1/n corrections fitted by estimate_S
@@ -118,13 +118,15 @@ class GermEvaluator:
     branch bookkeeping are handled by the callers, which know the contour.
     An error estimate comes from comparing against a lower-order table.
 
-    A table is (num, den, e): both polynomials as integers, highest degree
-    first, den scaled by 2^FIX_BITS and num by 2^(FIX_BITS - e), where 2^e
-    just exceeds the largest Taylor coefficient; the value is 2^e
-    num(p)/den(p).  Re p and Im p are truncated to multiples of
-    2^-FIX_BITS, both polynomials are evaluated by Horner's rule on the
-    (re, im) integer pair, and only the quotient is formed in mpmath, at
-    PADE_DPS digits, so a value does not depend on the ambient precision.
+    A table is (num, den, e, stride): both polynomials as integers in
+    w = p^stride, highest degree first, den scaled by 2^FIX_BITS and num by
+    2^(FIX_BITS - e), where 2^e just exceeds the largest Taylor
+    coefficient; the value is 2^e num(w)/den(w).  The stride is 2 for an
+    even germ (H0's), whose tables hold only even powers of p, else 1.
+    Re p and Im p are truncated to multiples of 2^-FIX_BITS, both
+    polynomials are evaluated by Horner's rule on the (re, im) integer pair
+    of w, and only the quotient is formed in mpmath, at PADE_DPS digits, so
+    a value does not depend on the ambient precision.
     """
 
     def __init__(self, germ: BorelGerm):
@@ -163,32 +165,44 @@ class GermEvaluator:
         # coefficients peak near 1e-31)
         e = frexp(float(scale * max(map(abs, cs))))[1]
         unit = scale * Decimal(2) ** (FIX_BITS - e)
-        return ([round(c * unit) for c in reversed(p)],
-                [round(c * 2 ** FIX_BITS) for c in reversed(q)], e)
+        # an even germ has even tables, kept as tables in w = p^2
+        stride = 1 if any(cs[1::2]) else 2
+        return ([round(c * unit) for c in reversed(p[::stride])],
+                [round(c * 2 ** FIX_BITS) for c in reversed(q[::stride])],
+                e, stride)
 
     def __call__(self, p):
         return _pade_value(self._pq, p)
 
-    def err_est(self, p):
-        """Difference between the two Pade orders at p (0 if no check table)."""
+    def err_est(self, p, value=None):
+        """Difference between the two Pade orders at p (0 if no check
+        table); ``value`` is this table's value at p, when already known."""
         if self._pq_check is None:
             return mp.mpf(0)
+        if value is None:
+            value = self(p)
         with mp.workdps(PADE_DPS):
-            return abs(self(p) - _pade_value(self._pq_check, p))
+            return abs(value - _pade_value(self._pq_check, p))
 
-    def check_ray(self, phi, tmax, decay, tol, worst=None):
-        """Guard the ray: Pade error times the Laplace weight must stay
-        below ``tol``.  Raises RadiusExceededError otherwise, and returns
-        that weighted error; ``worst`` is one already sampled on the same
-        ray, tmax and decay."""
-        if worst is None:
-            with mp.workdps(PADE_DPS):
-                direction = mp.expj(phi)
-                worst = mp.mpf(0)
-                for i in range(1, GUARD_SAMPLES + 1):
-                    t = tmax * i / GUARD_SAMPLES
-                    worst = max(worst, self.err_est(direction * t)
-                                * mp.exp(-decay * t))
+    def check_ray(self, phi, nodes, decay, tol):
+        """Guard the ray: Pade error times the Laplace weight e^{-decay t}
+        must stay below ``tol``.  ``nodes`` are (t, log err_est) at
+        increasing t = |p|; between them, the parabola of log(err weight)
+        through three consecutive nodes is maximized.  Raises
+        RadiusExceededError otherwise, and returns that weighted error."""
+        decay = float(decay)
+        ys = [(t, y - decay * t) for t, y in nodes]
+        top = max((y for _, y in ys), default=-inf)
+        for (t0, y0), (t1, y1), (t2, y2) in zip(ys, ys[1:], ys[2:]):
+            if -inf in (y0, y1, y2):
+                continue
+            d1 = (y1 - y0) / (t1 - t0)
+            a = ((y2 - y1) / (t2 - t1) - d1) / (t2 - t0)
+            if a < 0:  # concave: its vertex, if inside [t0, t2]
+                tv = (t0 + t1) / 2 - d1 / (2 * a)
+                if t0 < tv < t2:
+                    top = max(top, y0 + (tv - t0) * (d1 + a * (tv - t1)))
+        worst = mp.exp(top)
         if worst > tol:
             raise RadiusExceededError(
                 "weighted Pade continuation error %.3e exceeds tolerance "
@@ -256,8 +270,9 @@ def _horner(cs, zr, zi, bits):
 
 
 def _pade_value(table, p):
-    """2^e num(p)/den(p) of a fixed-point table (num, den, e)."""
-    num, den, e = table
+    """2^e num(p)/den(p) of a fixed-point table (num, den, e, stride), whose
+    polynomials are in w = p^stride."""
+    num, den, e, stride = table
     p = mp.mpmathify(p)
     re, im = p._mpc_ if hasattr(p, "_mpc_") else (p._mpf_, fzero)
     zr, zi = to_fixed(re, FIX_BITS), to_fixed(im, FIX_BITS)
@@ -266,6 +281,12 @@ def _pade_value(table, p):
     low = zr | zi
     t = min((low & -low).bit_length() - 1, FIX_BITS) if low else 0
     zr, zi, bits = zr >> t, zi >> t, FIX_BITS - t
+    if stride == 2:
+        # w = p^2 exact at 2 bits fractional bits, truncated to FIX_BITS
+        # when longer
+        sh = max(2 * bits - FIX_BITS, 0)
+        zr, zi = (zr * zr - zi * zi) >> sh, (2 * zr * zi) >> sh
+        bits = 2 * bits - sh
     nr, ni = _horner(num, zr, zi, bits)
     dr, di = _horner(den, zr, zi, bits)
     with mp.workdps(PADE_DPS):
@@ -284,6 +305,11 @@ CC_ORDERS = (4, 8, 16, 32, 64, 128, 256)
 CC_TOP = CC_ORDERS[-1]
 # fractional bits of the fixed-point integrand above the working precision
 GUARD_BITS = 32
+# grid-index step of the order-16 rule, whose nodes carry the Pade guard
+RULE16_STEP = CC_TOP // CC_ORDERS[2]
+# the Pade guard walks a ray's panels inward until one whose errors all lie
+# this factor below its tolerance
+GUARD_QUIET = 1e-6
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +377,7 @@ def _panel_sum(f, panels, prec, rel):
         return (i - 1, 0) if k == CC_TOP and i else (i, k)
 
     for i in range(panels):
-        for k in range(0, CC_TOP + 1, CC_TOP // CC_ORDERS[2]):
+        for k in range(0, CC_TOP + 1, RULE16_STEP):
             kk = key(i, k)
             if kk not in raw:
                 raw[kk] = f(*kk)
@@ -428,9 +454,12 @@ class LaplaceEngine:
     index), and a later x pays only for its exponentials and sums, which
     run on integers: s^k, G and e^{-px} = e^{-s^k u x} are fixed-point at
     the working precision plus GUARD_BITS, the exponentials from libmp's
-    exp_fixed and cos_sin_fixed.  The engine remembers its last sum and
-    its last guard value, so a repeated (x, panel edge) or (tmax, decay)
-    costs nothing.
+    exp_fixed and cos_sin_fixed.  The Pade guard reads err_est of Y at
+    the nodes of the order-16 rules, which every panel sum evaluates: a
+    panel's (t, log err_est), t = s^k, is recorded once, with one
+    check-table evaluation a node, when a guard first walks through it, so
+    a later x on the ray evaluates no table at all.  The engine remembers
+    its last sum, so a repeated (x, panel edge) costs nothing.
     """
 
     def __init__(self, germ, phi):
@@ -441,10 +470,14 @@ class LaplaceEngine:
         with mp.workprec(self.bits):
             self.u = mp.expj(phi)
         self._g = {}  # (panel, grid index) -> (s^k 2^bits, G as (re, im, e))
-        self._last = self._guard = (None, None)
+        self._err = {}  # panel -> order-16 (t, log err_est), their max
+        self._last = (None, None)
 
-    def _node(self, i, j):
-        if (i, j) not in self._g:
+    def _node(self, i, j, errs=None):
+        """(s^k 2^bits, G as (re, im, e)) at node (i, j), cached; a list
+        ``errs`` also gets (t, log err_est) there, Y evaluated again if the
+        node is cached."""
+        if (i, j) not in self._g or errs is not None:
             W, k = self.bits, 1 + self.lead2 % 2
             h = -6 if i == 0 else i - 7  # log2 half-width of panel i
             s = ((1 if i == 0 else 3) << W) + _cc_grid(W)[j]
@@ -454,31 +487,63 @@ class LaplaceEngine:
                 p = self.u * q ** k
                 lead = q ** (self.lead2 + 1) if k == 2 \
                     else p ** (self.lead2 // 2)
-                g = _to_gauss(lead * self.evaluator(p), W)
-            self._g[i, j] = (s if k == 1 else s * s >> W,) + g
+                y = self.evaluator(p)
+                g = _to_gauss(lead * y, W)
+                sk = s if k == 1 else s * s >> W
+                if errs is not None:
+                    err = self.evaluator.err_est(p, y)
+                    errs.append((sk / (1 << W),
+                                 float(mp.log(err)) if err else -inf))
+            self._g[i, j] = (sk,) + g
         return self._g[i, j]
 
+    def _panels(self, tmax):
+        """Number of panels up to the first edge at or past tmax."""
+        smax = mp.sqrt(tmax) if self.lead2 % 2 else tmax
+        panels = 1
+        while mp.ldexp(1, panels - 6) < smax:
+            panels += 1
+        return panels
+
     def guard(self, tmax, decay, tol):
-        """The Pade guard of :meth:`GermEvaluator.check_ray`, its weighted
-        error reused when (tmax, decay) repeats."""
-        key = (tmax, decay)
-        worst = self._guard[1] if self._guard[0] == key else None
-        self._guard = (key, self.evaluator.check_ray(
-            self.phi, tmax, decay, tol, worst))
+        """:meth:`GermEvaluator.check_ray` on the order-16 nodes of the
+        panels up to the edge at or past tmax (the integral up to tmax
+        evaluates the same nodes), walked inward from that edge.
+
+        Inside the disc where the Taylor data converge, the error falls by
+        orders of magnitude from one panel to the next one inward (on the
+        H0 ray pi/4, 1e-11, 1e-17, 1e-30, then 1e-60, the tables' own
+        precision).  So the walk ends at a panel whose errors, recorded now
+        or before, all lie GUARD_QUIET below tol: the weight e^{-decay t}
+        is at most 1, and the errors further in are smaller still."""
+        quiet = float(mp.log(tol * GUARD_QUIET))
+        panels = self._panels(tmax)
+        bound = min((top for i, (_, top) in self._err.items()
+                     if i >= panels), default=inf)
+        nodes = []
+        for i in reversed(range(panels)):
+            if bound < quiet:
+                break
+            if i not in self._err:
+                errs = []
+                for j in range(CC_TOP - RULE16_STEP * (i > 0), -1,
+                               -RULE16_STEP):
+                    self._node(i, j, errs)
+                self._err[i] = (errs, max(y for _, y in errs))
+            errs, top = self._err[i]
+            nodes[:0] = errs
+            bound = min(bound, top)
+        return self.evaluator.check_ray(self.phi, nodes, decay, tol)
 
     def integrate(self, x, tmax):
         """int e^{-p x} Y(p) p^{lead2/2} dp along the ray, up to the panel
         edge at or past tmax, and its error estimate."""
-        # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
-        half_int = self.lead2 % 2
-        smax = mp.sqrt(tmax) if half_int else tmax
-        panels = 1
-        while mp.ldexp(1, panels - 6) < smax:
-            panels += 1
+        panels = self._panels(tmax)
         if self._last[0] != (x, panels):
             val, err = self._sum(x, panels)
-            val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) if half_int \
-                else self.u
+            # p = u q^2 smooths the endpoint: p^{lead2/2} dp -> q^{lead2+1} dq
+            val *= 2 * self.u ** (mp.mpf(self.lead2) / 2 + 1) \
+                if self.lead2 % 2 else self.u
             self._last = ((x, panels), (val, err))
         return self._last[1]
 
@@ -601,17 +666,15 @@ def estimate_S(germ=None):
     J = EXTRAPOLATION_ORDER
     dps = 30 + ceil(J * log10(max(offset + len(germ.coeffs), 2))
                     - log10(factorial(J)))
+    odd = [(n, b) for n, b in enumerate(germ.coeffs, offset)
+           if n % 2 and b]
+    if len(odd) < J + 4:
+        raise NoConvergenceError("too few coefficients for extrapolation")
     with mp.workdps(dps):
-        seq = []
-        for i, b in enumerate(germ.coeffs):
-            n = offset + i
-            if n % 2 == 0 or not b:
-                continue
-            bn = mp.mpf(b.numerator) / b.denominator
-            seq.append((n, bn * mp.sqrt(mp.pi) * mp.factorial(n)
-                        / (2 * mp.gamma(n + mp.mpf("0.5")))))
-        if len(seq) < J + 4:
-            raise NoConvergenceError("too few coefficients for extrapolation")
+        # only the last J + 1 values are read, by the drift test too
+        seq = [(n, mp.mpf(b.numerator) / b.denominator * mp.sqrt(mp.pi)
+                * mp.factorial(n) / (2 * mp.gamma(n + mp.mpf("0.5"))))
+               for n, b in odd[-(J + 1):]]
         drift = abs(seq[-1][1] / seq[-2][1] - 1)
         if drift > mp.mpf("0.01"):
             raise NoConvergenceError(

@@ -161,6 +161,15 @@ class TestCriterion06Tritronquee:
         c = extract_constant(self._tritronquee, math.pi / 4)
         assert abs(c) < 1e-6
 
+    def test_constant_is_mu_on_the_other_side(self):
+        """Across the Stokes line arg x = 0 the tritronquee's constant
+        jumps from 0 to mu: extracted along arg x = -pi/4, it is mu within
+        its own error estimate (6b's average is exact by construction and
+        cannot fail)."""
+        cm, info = extract_constant(self._tritronquee, -math.pi / 4,
+                                    return_info=True)
+        assert abs(cm - MU) <= max(info["err_est"], 1e-6)
+
     def test_two_sided_average_on_stokes_line(self):
         cp = extract_constant(self._tritronquee, math.pi / 4)
         cm = extract_constant(self._tritronquee, -math.pi / 4)

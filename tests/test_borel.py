@@ -180,7 +180,8 @@ class TestPadeTables:
         for germ in (solve_H0_convolution(80),
                      borel_transform(level_series(1, 80))):
             ev = borel.GermEvaluator(germ)
-            L, M = len(ev._pq[0]) - 1, len(ev._pq[1]) - 1
+            num, den, _, stride = ev._pq
+            L, M = stride * (len(num) - 1), stride * (len(den) - 1)
             with mp.workdps(200):
                 fac = 1 / mp.sqrt(mp.pi) if germ.sqrtpi else 1
                 cs = [fac * mp.mpf(c.numerator) / c.denominator
@@ -207,13 +208,14 @@ class TestPadeTables:
         for germ in (solve_H0_convolution(), germ_Hk(1), germ_Hk(2),
                      germ_Hk(5), germ_Hk(12)):
             ev = borel._evaluator(germ)
-            num, den, e = ev._pq
+            num, den, e, stride = ev._pq
             with mp.workdps(120):
                 nums = [mp.mpf(c) for c in num]
                 dens = [mp.mpf(c) for c in den]
                 for z in pts:
-                    ref = mp.ldexp(1, e) * mp.polyval(nums, z) \
-                        / mp.polyval(dens, z)
+                    w = z ** stride
+                    ref = mp.ldexp(1, e) * mp.polyval(nums, w) \
+                        / mp.polyval(dens, w)
                     assert abs(ev(z) - ref) <= 1e-40 * abs(ref)
             seen = []
             for dps in (15, 30, 50):
@@ -224,32 +226,52 @@ class TestPadeTables:
     def test_kernel_bits_on_shortened_node(self):
         """Horner on the node with its common power of two divided out, by
         three products a step, gives the bits of the full-width four-product
-        rule; p = 0 and even integers hit the bounds of that power."""
+        rule; p = 0 and even integers hit the bounds of that power.  H0's
+        even tables run in w = p^2, formed from the full-width node and
+        truncated to FIX_BITS: bit for bit the four-product rule in that w,
+        and within 1e-40 of the rule in p."""
         from mpmath.libmp import to_fixed
+        bits = borel.FIX_BITS
 
         def four_products(cs, zr, zi):
             ar, ai = cs[0], 0
             for c in cs[1:]:
-                ar, ai = (((ar * zr - ai * zi) >> borel.FIX_BITS) + c,
-                          (ar * zi + ai * zr) >> borel.FIX_BITS)
+                ar, ai = (((ar * zr - ai * zi) >> bits) + c,
+                          (ar * zi + ai * zr) >> bits)
             return ar, ai
+
+        def quotient(num, den, e, zr, zi):
+            nr, ni = four_products(num, zr, zi)
+            dr, di = four_products(den, zr, zi)
+            with mp.workdps(borel.PADE_DPS):
+                return mp.mpc(mp.mpf((nr, e)), mp.mpf((ni, e))) \
+                    / mp.mpc(dr, di)
 
         with mp.workdps(30):
             pts = [mp.mpf(0), mp.mpf(4), mp.mpc(2, -6), mp.mpc("0.3", "-2.7"),
                    mp.expj(-mp.pi / 4) * mp.mpf("1.37")]
         with mp.workdps(60):
             pts.append(mp.expj(mp.pi / 4) * mp.pi)
+        def in_p(cs, stride):
+            # a table in w = p^2 spread back onto the powers of p
+            return cs if stride == 1 else [c for a in cs for c in (0, a)][1:]
+
         for germ in (solve_H0_convolution(), germ_Hk(1)):
-            num, den, e = borel._evaluator(germ)._pq
+            table = borel._evaluator(germ)._pq
+            num, den, e, stride = table
+            assert stride == (2 if germ.lead2 == 6 else 1)
             for z in pts:
-                zr, zi = (to_fixed(v._mpf_, borel.FIX_BITS)
+                zr, zi = (to_fixed(v._mpf_, bits)
                           for v in (mp.re(z), mp.im(z)))
-                nr, ni = four_products(num, zr, zi)
-                dr, di = four_products(den, zr, zi)
-                with mp.workdps(borel.PADE_DPS):
-                    ref = mp.mpc(mp.mpf((nr, e)), mp.mpf((ni, e))) \
-                        / mp.mpc(dr, di)
-                assert borel._pade_value((num, den, e), z) == ref
+                ref = quotient(in_p(num, stride), in_p(den, stride), e,
+                               zr, zi)
+                value = borel._pade_value(table, z)
+                if stride == 1:
+                    assert value == ref
+                    continue
+                wr, wi = (zr * zr - zi * zi) >> bits, (2 * zr * zi) >> bits
+                assert value == quotient(num, den, e, wr, wi)
+                assert abs(value - ref) <= 1e-40 * abs(ref)
 
     def test_taylor_fallback_order(self):
         """When no denominator degree solves, the table is the Taylor
@@ -273,9 +295,11 @@ class TestPadeTables:
                 value = borel._pade_value(table, p)
                 assert abs(value - exact) <= 1e-45 * abs(exact)
 
-    # (L, M) of the main and check tables, as the elimination solve built
-    # them: the denominator back-off must not move them
-    DEGREES = {0: ((99, 98), (89, 88)), 1: ((100, 100), (90, 90)),
+    # degrees in p of the main and check tables' polynomials, (L, M) as the
+    # elimination solve built them: the denominator back-off must not move
+    # them.  H0's tables are even, kept in w = p^2, so the zero top
+    # coefficient of each numerator, at the odd L, is not stored.
+    DEGREES = {0: ((98, 98), (88, 88)), 1: ((100, 100), (90, 90)),
                2: ((100, 100), (90, 90)), 5: ((60, 60), (50, 50)),
                12: ((30, 30), (20, 20)), 24: ((30, 30), (20, 20))}
 
@@ -283,8 +307,8 @@ class TestPadeTables:
     def test_table_degrees(self, k):
         germ = solve_H0_convolution() if k == 0 else germ_Hk(k)
         ev = borel._evaluator(germ)
-        assert tuple((len(num) - 1, len(den) - 1)
-                     for num, den, _ in (ev._pq, ev._pq_check)) \
+        assert tuple((stride * (len(num) - 1), stride * (len(den) - 1))
+                     for num, den, _, stride in (ev._pq, ev._pq_check)) \
             == self.DEGREES[k]
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -429,18 +453,18 @@ class TestLaplaceRay:
         return calls
 
     def test_mirrored_pair_costs_one_sum(self, monkeypatch):
-        """At real x the ray -phi right after phi reuses the sum and the
-        guard of its mirror and evaluates the germ 0 times; at complex x
-        the mirror's x differs, so only the guard's samples are new."""
+        """The ray -phi right after phi is summed on its mirror's nodes
+        and guarded by their recorded errors, so it evaluates the germ 0
+        times; at real x it also reuses the mirror's sum."""
         g = solve_H0_convolution()
         calls = self.count_germ_calls(monkeypatch)
-        for x, new in ((mp.mpf(9), 0), (mp.mpc(9, 1), 8)):
+        for x in (mp.mpf(9), mp.mpc(9, 1)):
             up = laplace_ray(g, x, phi=mp.pi / 4)
             assert calls
             del calls[:]
             down = laplace_ray(g, x, phi=-mp.pi / 4)
-            assert len(calls) == new
-            if not new:
+            assert not calls
+            if not mp.im(x):
                 assert down == mp.conj(up)
 
     def test_non_finite_input_raises(self):
@@ -452,16 +476,90 @@ class TestLaplaceRay:
                 laplace_ray(g, x, phi=-mp.pi / 4)
 
     def test_second_x_reuses_nodes(self, monkeypatch):
-        """A later x on the same ray evaluates the germ only in the guard."""
+        """A later x on the same ray, guard included, evaluates no germ."""
         g = solve_H0_convolution()
         calls = self.count_germ_calls(monkeypatch)
         laplace_ray(g, mp.mpf(9), phi=mp.pi / 4)
-        first = len(calls)
+        assert calls
         del calls[:]
         laplace_ray(g, mp.mpf("10.25"), phi=mp.pi / 4)
-        guard_samples = 8
-        assert first > guard_samples
-        assert len(calls) == guard_samples
+        assert not calls
+
+    @staticmethod
+    def eight_point_guard(ev, phi, tmax, decay):
+        """The Pade guard as it was before it read the engine's nodes: the
+        weighted error at 8 points t = tmax i/8 of the ray."""
+        with mp.workdps(borel.PADE_DPS):
+            u = mp.expj(phi)
+            return max(ev.err_est(u * t) * mp.exp(-decay * t)
+                       for t in (tmax * i / 8 for i in range(1, 9)))
+
+    def test_guard_against_dense_reference(self):
+        """The node guard is at least 0.9 of the weighted Pade error at a
+        dense set of points on (0, tmax], unless that lies 1e-6 below the
+        limit, where the guard's walk may end, and it refuses every case
+        that the 8-point guard refuses.  The points are one grid
+        per (germ, ray) with spacing max(t, 3)/64, at most tmax/64 on
+        (0, tmax], so each (0, tmax] holds at least 64 of them, and tmax
+        itself."""
+        for germ in (solve_H0_convolution(), germ_Hk(1)):
+            ev = borel._evaluator(germ)
+            for phi in (mp.pi / 4, mp.pi / 8, mp.mpf("0.05")):
+                u = mp.expj(phi)
+                cases = []
+                for r in (1, 8, 20):
+                    for x in (mp.mpf(r), r * mp.expj(mp.mpf("0.3"))):
+                        decay = mp.re(u * x)
+                        for tol in (mp.mpf("1e-18"), mp.mpf("1e-27")):
+                            tmax = max(mp.mpf(3), -mp.log(tol / 1000) / decay)
+                            cases.append((decay, tmax, 100 * tol))
+                grid, t = [], mp.mpf(0)
+                while t < max(c[1] for c in cases):
+                    t += max(t, 3) / 64
+                    grid.append(t)
+
+                def log_err(t):
+                    with mp.workdps(borel.PADE_DPS):
+                        return t, mp.log(ev.err_est(u * t))
+
+                logs = [log_err(t) for t in grid]
+                engine = borel.LaplaceEngine(germ, phi)
+                for decay, tmax, limit in cases:
+                    dense = max(y - decay * t for t, y
+                                in logs + [log_err(tmax)] if t <= tmax)
+                    try:
+                        new = engine.guard(tmax, decay, limit)
+                    except RadiusExceededError as exc:
+                        new = exc.err_est
+                    floor = max(new, limit * 1e-6)
+                    assert mp.log(floor) >= mp.log(0.9) + dense
+                    old = self.eight_point_guard(ev, phi, tmax, decay)
+                    assert new > limit or old <= limit
+
+    def test_guard_walks_outer_panels(self):
+        """On a cold ray the guard records errors on the outer panels only,
+        down to the first whose errors all lie 1e-6 below the limit;
+        further in, the errors at a dense set of points are below that
+        level too."""
+        g = solve_H0_convolution()
+        ev = borel._evaluator(g)
+        phi, limit = mp.pi / 4, mp.mpf("1e-8")
+        decay = 9 * mp.cos(phi)
+        tmax = -mp.log(limit / 1e5) / decay
+        engine = borel.LaplaceEngine(g, phi)
+        engine.guard(tmax, decay, limit)
+        panels = engine._panels(tmax)
+        walked = sorted(engine._err)
+        assert walked == list(range(panels - len(walked), panels))
+        assert 1 < len(walked) < panels
+        inner, outer = (engine._err[i][1] for i in walked[:2])
+        assert inner < mp.log(limit * 1e-6) <= outer
+        edge = engine._err[walked[0]][0][0][0]
+        with mp.workdps(borel.PADE_DPS):
+            u = mp.expj(phi)
+            for i in range(1, 65):
+                err = ev.err_est(u * edge * i / 64)
+                assert err < limit * 1e-6
 
     def test_pade_guard_raises(self):
         """Near the cut with slow decay the ray reaches |p| where the
